@@ -58,16 +58,11 @@ Global options
 --------------
 ``--jobs N``       fan simulation matrices out over N worker processes
                    (default: ``REPRO_JOBS`` env var, else all cores).
-``--backend B``    matrix dispatch backend: ``serial``, ``pool``,
-                   ``lanes``, or ``distributed`` (sets ``REPRO_BACKEND``;
-                   default: the env var, else picked from --jobs/--lanes).
-                   ``distributed`` shards cells across worker processes
-                   via the service API (see docs/distributed.md).
-``--lanes N``      batch matrix cells into lane packs of up to N cells
-                   over the same workload (the SoA lane engine,
-                   ``repro.core.lanes``); sets ``REPRO_LANES`` for the
-                   invocation.  ``0`` forces scalar dispatch.  SimStats
-                   are bit-identical either way.
+``--backend B``    matrix dispatch backend: ``serial``, ``pool``, or
+                   ``distributed`` (sets ``REPRO_BACKEND``; default: the
+                   env var, else picked from --jobs).  ``distributed``
+                   shards cells across worker processes via the service
+                   API (see docs/distributed.md).
 ``--cache-dir D``  persistent result cache location (default
                    ``.repro_cache``); repeated invocations of the same
                    matrix skip already-simulated cells.
@@ -161,7 +156,7 @@ def _config_ref(name: str) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # one-cell matrix rather than a bare run_workload() call, so the
-    # --backend / --jobs / --lanes plumbing applies to `run` too
+    # --backend / --jobs plumbing applies to `run` too
     result = run_matrix(
         [RunRequest(args.workload, args.config, core_scale=args.scale)]
     )[0]
@@ -386,11 +381,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     total_wall = sum(r["wall_s"] for r in report["runs"])
     print(f"{out_path}: {len(report['runs'])} runs, {total_wall:.1f}s total "
           f"({'quick' if args.quick else 'full'} matrix)")
-    from repro.bench.compare import lanes_speedup
-
-    for prefix, ratio in sorted(lanes_speedup(report).items()):
-        print(f"lanes vs scalar [{prefix}]: {ratio:.2f}x "
-              f"(both sides of this run, noise-free)")
     if report["profile"] is not None:
         top = report["profile"]["functions"][:8]
         print("hottest simulator functions (tottime):")
@@ -454,7 +444,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         job = client.submit(
             workloads=args.workloads, configs=args.configs,
             warmup=args.warmup, measure=args.measure,
-            core_scale=args.scale, lanes=args.lanes,
+            core_scale=args.scale,
             backend="distributed" if backend == "distributed" else None,
         )
     except ServiceError as exc:
@@ -610,11 +600,6 @@ def main(argv=None) -> int:
              "see docs/distributed.md)",
     )
     parser.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
-        help="lane-pack width for matrix dispatch (sets REPRO_LANES; "
-             "0 = scalar engine, default: REPRO_LANES env var, else scalar)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="do not read or write the persistent result cache",
     )
@@ -663,12 +648,9 @@ def main(argv=None) -> int:
     p_val.add_argument("--budget", type=_parse_budget, default=None,
                        metavar="TIME", help="wall-clock budget, e.g. 120s or 2m")
     p_val.add_argument("--configs",
-                       default="baseline,acb,acb-dmp-reconv,acb@bullseye,"
-                               "acb+lanes",
+                       default="baseline,acb,acb-dmp-reconv,acb@bullseye",
                        help="comma-separated timing configurations to check "
-                            "(scheme names, optionally @<predictor>, "
-                            "optionally suffixed '+lanes' to drive the "
-                            "lane-engine functional replay)")
+                            "(scheme names, optionally @<predictor>)")
     p_val.add_argument("--instructions", type=int, default=1200,
                        help="architectural instructions per program")
     p_val.add_argument("--repro-dir", default=".repro_failures",
@@ -735,7 +717,7 @@ def main(argv=None) -> int:
                          help="report path (default: BENCH_<tag>.json)")
     p_bench.add_argument("--groups", nargs="*", metavar="GROUP",
                          help="subset of target groups "
-                              "(fig6, scheme, trace, frontier, micro)")
+                              "(fig6, scheme, trace, frontier, matrix, micro)")
     p_bench.add_argument("--compare", default=None, metavar="BASELINE",
                          help="earlier BENCH_*.json to compare against")
     p_bench.add_argument("--threshold", type=float, default=1.5,
@@ -778,9 +760,6 @@ def main(argv=None) -> int:
     p_sub.add_argument("--measure", type=int, default=None)
     p_sub.add_argument("--scale", type=int, default=None,
                        help="core scale factor for every cell")
-    p_sub.add_argument("--lanes", type=int, default=None, metavar="N",
-                       help="lane-pack width the service should simulate "
-                            "the matrix under (0 = scalar engine)")
     p_sub.add_argument("--timeout", type=float, default=600.0,
                        help="seconds to wait for completion (default 600)")
     p_sub.add_argument("--no-wait", action="store_true",
@@ -845,8 +824,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
     if args.backend is not None:
         os.environ["REPRO_BACKEND"] = args.backend
-    if args.lanes is not None:
-        os.environ["REPRO_LANES"] = str(max(0, args.lanes))
     if args.no_cache:
         cache = None
     elif args.cache_dir is not None:

@@ -41,8 +41,7 @@ def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
 
     Every caching layer is detached and the in-process memo cleared on
     both sides of the run, so each matrix target simulates all its cells
-    from scratch — the scalar and lanes targets time identical work.
-    ``jobs=1`` keeps the worker pool out of the measurement.
+    from scratch.  ``jobs=1`` keeps the worker pool out of the measurement.
     """
     from repro.harness import cache as result_cache
     from repro.harness.parallel import RunRequest, run_matrix
@@ -61,7 +60,7 @@ def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
     clear_memo()
     try:
         started = time.perf_counter()
-        results = run_matrix(requests, jobs=1, lanes=target.lanes)
+        results = run_matrix(requests, jobs=1)
         wall = time.perf_counter() - started
     finally:
         clear_memo()
@@ -87,13 +86,12 @@ def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
         "ipc": round(instructions / cycles if cycles else 0.0, 4),
         "cells": len(requests),
         "cells_per_s": round(len(requests) / wall, 3),
-        "lanes": target.lanes,
     }
 
 
 def _run_target(target: BenchTarget) -> Dict[str, Any]:
-    from repro.core import SKYLAKE_LIKE, Core, scaled
-    from repro.harness.runner import scheme_for, split_config
+    from repro.core import Core
+    from repro.harness.runner import prepare_run
     from repro.workloads import load_suite
 
     if target.matrix_workloads:
@@ -102,14 +100,10 @@ def _run_target(target: BenchTarget) -> Dict[str, Any]:
         workload = target.factory()
     else:
         (workload,) = load_suite([target.workload])
-    scheme = scheme_for(workload, target.config)
-    scheme_name, predictor = split_config(target.config)
-    if scheme_name == "oracle-bp":
-        predictor = "oracle"
+    cfg, scheme, predictor = prepare_run(workload, target.config)
 
     started = time.perf_counter()
-    core = Core(workload, scaled(1, SKYLAKE_LIKE), scheme=scheme,
-                predictor=predictor)
+    core = Core(workload, cfg, scheme=scheme, predictor=predictor)
     stats = core.run_window(target.warmup, target.measure)
     wall = time.perf_counter() - started
 

@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.acb import AcbConfig
 from repro.core import CoreConfig
@@ -55,12 +55,11 @@ __all__ = [
 ]
 
 #: Matrix dispatch backends (``--backend`` / ``REPRO_BACKEND``):
-#: serial       in-process, one cell at a time (jobs=1, scalar engine)
+#: serial       in-process, one cell at a time (jobs=1)
 #: pool         ProcessPoolExecutor cell fan-out (the default with jobs>1)
-#: lanes        SoA lane packs over the pool (repro.core.lanes)
 #: distributed  lease-based workers over the service HTTP API
 #:              (repro.harness.distributed)
-BACKENDS = ("serial", "pool", "lanes", "distributed")
+BACKENDS = ("serial", "pool", "distributed")
 
 ENV_BACKEND = "REPRO_BACKEND"
 
@@ -69,8 +68,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     """Normalize the backend choice: argument, else ``REPRO_BACKEND``.
 
     Returns ``""`` when nothing was requested — ``run_matrix`` then picks
-    serial/pool/lanes from ``jobs`` and ``lanes`` exactly as before the
-    backend flag existed.
+    serial/pool from ``jobs`` exactly as before the backend flag existed.
     """
     value = (backend if backend is not None
              else os.environ.get(ENV_BACKEND, "")).strip().lower()
@@ -149,9 +147,6 @@ class CellRecord:
     config: str
     source: str          # "run" | "memo" | "cache" | "store" | "dedup"
     wall_time: float = 0.0
-    #: lane-pack width the cell was simulated under (0 = scalar engine).
-    #: Cache/memo/dedup hits keep 0: nothing was simulated for them.
-    lanes: int = 0
     #: distributed dispatch only: the worker that executed the cell.
     worker: str = ""
 
@@ -162,10 +157,8 @@ class MatrixManifest:
 
     jobs: int = 1
     wall_time: float = 0.0
-    #: requested lane width for this matrix (0 = scalar dispatch).
-    lanes: int = 0
-    #: resolved dispatch backend ("serial" | "pool" | "lanes" |
-    #: "distributed") — see :data:`BACKENDS`.
+    #: resolved dispatch backend ("serial" | "pool" | "distributed") — see
+    #: :data:`BACKENDS`.
     backend: str = "serial"
     cells: List[CellRecord] = field(default_factory=list)
     #: files written alongside the runs (trace exports, decision logs).
@@ -228,39 +221,32 @@ def record_artifacts(paths, workload: str = "", config: str = "",
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _execute_cell(request: RunRequest):
-    """Pool worker: simulate one cell, reporting its wall time.
+def _detach_tiers() -> None:
+    """Pool worker initializer: the parent owns every result tier.
 
-    Disk cache lookups/stores happen in the parent (which already probed
-    the cache before submitting), so workers run with caching and the
-    durable store disabled — this also keeps forked workers from using a
-    stale inherited handle.
+    The parent probes memo/cache/store before it submits a cell and writes
+    each pooled result through after it returns, so workers simulate with
+    the disk cache and the durable store detached — this also keeps forked
+    workers from using a stale inherited handle.
     """
     result_cache.set_active_cache(None)
     result_cache.set_active_store(None)
+
+
+def _execute_cell(request: RunRequest):
+    """Simulate one cell: ``(result, wall_time, pid)``.
+
+    Runs in a pool worker or, on the serial path, in the calling process;
+    *pid* tells :func:`run_matrix` which, because ``run_workload`` has
+    already written a cell simulated in the caller through to its tiers.
+    """
     start = time.monotonic()
     result = run_workload(**request.kwargs())
-    return result, time.monotonic() - start
+    return result, time.monotonic() - start, os.getpid()
 
 
-def _cell_error(request: RunRequest, exc: BaseException) -> RuntimeError:
-    return RuntimeError(
-        f"simulation cell {request.workload_name!r} × {request.config!r} "
-        f"failed: {type(exc).__name__}: {exc}"
-    )
-
-
-def _execute_pack(requests: List[RunRequest]):
-    """Pool worker: simulate one lane pack (see :mod:`repro.core.lanes`).
-
-    Same cache discipline as :func:`_execute_cell`: the parent owns every
-    cache/store layer, workers only simulate.
-    """
-    from repro.core.lanes import run_pack
-
-    result_cache.set_active_cache(None)
-    result_cache.set_active_store(None)
-    return run_pack(requests)
+def _describe_cell(request: RunRequest) -> str:
+    return f"simulation cell {request.workload_name!r} × {request.config!r}"
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +260,7 @@ def _get_pool(jobs: int) -> ProcessPoolExecutor:
     global _POOL, _POOL_JOBS
     if _POOL is None or _POOL_JOBS != jobs:
         shutdown_pool()
-        _POOL = ProcessPoolExecutor(max_workers=jobs)
+        _POOL = ProcessPoolExecutor(max_workers=jobs, initializer=_detach_tiers)
         _POOL_JOBS = jobs
     return _POOL
 
@@ -297,12 +283,66 @@ _ATEXIT_REGISTERED = True
 
 
 # ----------------------------------------------------------------------
+# the dispatch loop
+# ----------------------------------------------------------------------
+def _is_picklable(obj) -> bool:
+    try:
+        pickle.dumps(obj)
+        return True
+    except Exception:
+        return False
+
+
+def _execute(fn, items: List, jobs: int,
+             describe: Optional[Callable] = None) -> Iterator[Tuple[int, Any]]:
+    """Run ``fn(item)`` for every item, yielding ``(index, outcome)``.
+
+    The one dispatch loop under :func:`run_matrix` and :func:`run_tasks`.
+    With ``jobs > 1`` and more than one item, picklable items fan out over
+    the shared pool; the rest — every item when ``jobs <= 1`` or *fn*
+    cannot be pickled — run in this process while the pool works, and the
+    pooled outcomes follow in submission order.  The first failure cancels
+    the queued siblings, shuts a broken pool down, and is raised: as a
+    ``RuntimeError`` naming the item when *describe* is given, else as the
+    task's own exception.
+    """
+    local = list(range(len(items)))
+    pooled: List[int] = []
+    if jobs > 1 and len(items) > 1 and _is_picklable(fn):
+        pooled = [i for i in local if _is_picklable(items[i])]
+        skip = set(pooled)
+        local = [i for i in local if i not in skip]
+    futures: Dict[Any, int] = {}
+    current = 0
+    try:
+        for current in pooled:
+            futures[_get_pool(jobs).submit(fn, items[current])] = current
+        for current in local:
+            yield current, fn(items[current])
+        for future, current in futures.items():
+            yield current, future.result()
+    except Exception as exc:
+        for future in futures:
+            future.cancel()
+        broken = isinstance(exc, BrokenProcessPool)
+        if broken:
+            shutdown_pool()
+        if describe is not None:
+            raise RuntimeError(
+                f"{describe(items[current])} failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        if broken:
+            raise RuntimeError(f"worker pool died mid-task: {exc}") from exc
+        raise
+
+
+# ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
 def run_matrix(
     requests: List[RunRequest],
     jobs: Optional[int] = None,
-    lanes: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> List[RunResult]:
     """Evaluate a full experiment matrix, results in request order.
@@ -312,35 +352,19 @@ def run_matrix(
     The accounting is appended to the session manifests
     (:func:`last_manifest`).
 
-    ``lanes`` selects the dispatch mode for cells that must actually be
-    simulated: ``0``/``None``-with-no-env runs each cell through the
-    scalar driver; ``N >= 1`` groups cells into lane packs of up to N
-    cells over the same workload and steps each pack through the batched
-    engine (:mod:`repro.core.lanes`), which is bit-identical in SimStats.
-    Unset, the width comes from ``REPRO_LANES``.  Lane packs compose with
-    ``jobs``: packs (instead of cells) fan out over the worker pool.
-
-    ``backend`` (default ``REPRO_BACKEND``) overrides that selection —
-    ``serial``/``pool``/``lanes`` force one of the local modes, and
-    ``distributed`` ships pending cells to lease-based workers over the
-    service HTTP API (:mod:`repro.harness.distributed`).  SimStats are
-    bit-identical under every backend.
+    ``backend`` (default ``REPRO_BACKEND``) overrides the choice ``jobs``
+    makes between ``serial`` and ``pool``; ``distributed`` ships pending
+    cells to lease-based workers over the service HTTP API
+    (:mod:`repro.harness.distributed`).  SimStats are bit-identical under
+    every backend.
     """
-    from repro.core.lanes import DEFAULT_LANES, resolve_lanes
-
     backend = resolve_backend(backend)
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    lane_width = resolve_lanes(lanes)
     if backend == "serial":
-        jobs, lane_width = 1, 0
-    elif backend in ("pool", "distributed"):
-        lane_width = 0
-    elif backend == "lanes" and lane_width < 1:
-        lane_width = DEFAULT_LANES
-    resolved = backend or (
-        "lanes" if lane_width >= 1 else ("serial" if jobs <= 1 else "pool")
+        jobs = 1
+    manifest = MatrixManifest(
+        jobs=jobs, backend=backend or ("serial" if jobs <= 1 else "pool")
     )
-    manifest = MatrixManifest(jobs=jobs, lanes=lane_width, backend=resolved)
     started = time.monotonic()
 
     results: List[Optional[RunResult]] = [None] * len(requests)
@@ -366,18 +390,29 @@ def run_matrix(
                 continue
         pending.append(i)
 
+    here = os.getpid()
+
+    def commit(i: int, result: RunResult, wall_time: float,
+               pid: Optional[int] = None, worker: str = "") -> None:
+        """File one simulated cell; write it through unless it ran here."""
+        request = requests[i]
+        results[i] = result
+        records[i] = CellRecord(
+            request.workload_name, request.config, "run", wall_time,
+            worker=worker,
+        )
+        if pid != here:
+            key = request.memo_key()
+            if key is not None:
+                store_result(key, result)
+
     if backend == "distributed":
-        _run_distributed(requests, pending, results, records)
-    elif lane_width >= 1:
-        _run_lanes(requests, pending, results, records, lane_width, jobs)
-    elif jobs <= 1 or len(pending) <= 1:
-        _run_serial(requests, pending, results, records)
-    else:
-        serial_ids = [i for i in pending if not _is_picklable(requests[i])]
-        skip = set(serial_ids)
-        pool_ids = [i for i in pending if i not in skip]
-        _run_pool(requests, pool_ids, results, records, jobs)
-        _run_serial(requests, serial_ids, results, records)
+        pending = _dispatch_remote(requests, pending, commit)
+    cells = [requests[i] for i in pending]
+    for j, (result, wall_time, pid) in _execute(
+        _execute_cell, cells, jobs, _describe_cell
+    ):
+        commit(pending[j], result, wall_time, pid)
 
     # duplicate cells inherit the owner's result under their own label
     for i, request in enumerate(requests):
@@ -391,48 +426,42 @@ def run_matrix(
     return results  # type: ignore[return-value]
 
 
+def _dispatch_remote(requests, ids: List[int], commit) -> List[int]:
+    """Distributed dispatch: commit leasable cells, return the rest.
+
+    Cells without a memo key (ad-hoc Workload objects, explicit config
+    overrides) cannot travel over HTTP; they stay for the local loop,
+    which is bit-identical.  ``dispatch_cells`` returns only after its
+    embedded service (which swaps the active store for its own temporary
+    database) has shut down, so the commit writes through to the caller's
+    cache/store.
+    """
+    from repro.harness import distributed
+
+    remote: List[int] = []
+    local: List[int] = []
+    for i in ids:
+        (local if requests[i].memo_key() is None else remote).append(i)
+    for i, outcome in distributed.dispatch_cells(requests, remote).items():
+        commit(i, outcome["result"], outcome["wall_time"],
+               worker=outcome.get("worker") or "")
+    return local
+
+
 def run_tasks(fn, items, jobs: Optional[int] = None) -> List:
     """Fan a picklable ``fn(item)`` out over the shared worker pool.
 
     A generic sibling of :func:`run_matrix` for non-matrix work (e.g. the
     differential fuzzer's one-cell-per-seed sweep): no caching, no
-    manifests — just ordered results.  Falls back to in-process serial
-    execution when ``jobs <= 1``, when there is a single item, or when
-    ``fn``/an item cannot be pickled.  The first task exception propagates
-    to the caller.
+    manifests — just ordered results.  Runs in process when ``jobs <= 1``,
+    when there is a single item, or for whatever cannot be pickled.  The
+    first task exception propagates to the caller.
     """
     items = list(items)
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    if jobs > 1 and len(items) > 1:
-        try:
-            pickle.dumps(fn)
-            for item in items:
-                pickle.dumps(item)
-        except Exception:
-            jobs = 1
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = _get_pool(jobs)
-    try:
-        futures = [pool.submit(fn, item) for item in items]
-    except BrokenProcessPool as exc:
-        shutdown_pool()
-        raise RuntimeError(f"worker pool died while submitting tasks: {exc}") from exc
-    results = []
-    error: Optional[BaseException] = None
-    for future in futures:
-        try:
-            results.append(future.result())
-        except BrokenProcessPool as exc:
-            shutdown_pool()
-            raise RuntimeError(f"worker pool died mid-task: {exc}") from exc
-        except Exception as exc:
-            if error is None:
-                error = exc
-                for other in futures:
-                    other.cancel()
-    if error is not None:
-        raise error
+    results: List[Any] = [None] * len(items)
+    for i, outcome in _execute(fn, items, jobs):
+        results[i] = outcome
     return results
 
 
@@ -440,141 +469,3 @@ def _relabelled(result: RunResult, request: RunRequest) -> RunResult:
     if result.config == request.config:
         return result
     return replace(result, config=request.config)
-
-
-def _is_picklable(request: RunRequest) -> bool:
-    try:
-        pickle.dumps(request)
-        return True
-    except Exception:
-        return False
-
-
-def _run_distributed(requests, ids, results, records) -> None:
-    """Distributed dispatch: ship leasable cells out, run the rest here.
-
-    Cells without a memo key (ad-hoc Workload objects, explicit config
-    overrides) cannot travel over HTTP; they fall back to in-process
-    serial execution, which is bit-identical.  Write-through to the local
-    cache/store happens *here*, after the embedded service (which swaps
-    the active store for its own temporary database) has shut down.
-    """
-    from repro.harness.distributed import dispatch_cells
-
-    remote = [i for i in ids if requests[i].memo_key() is not None]
-    local = [i for i in ids if requests[i].memo_key() is None]
-    outcomes = dispatch_cells(requests, remote)
-    for i in remote:
-        outcome = outcomes[i]
-        results[i] = outcome["result"]
-        records[i] = CellRecord(
-            requests[i].workload_name, requests[i].config, "run",
-            outcome["wall_time"], worker=outcome.get("worker") or "",
-        )
-        store_result(requests[i].memo_key(), outcome["result"])
-    _run_serial(requests, local, results, records)
-
-
-def _run_serial(requests, ids, results, records) -> None:
-    for i in ids:
-        request = requests[i]
-        start = time.monotonic()
-        try:
-            results[i] = run_workload(**request.kwargs())
-        except Exception as exc:
-            raise _cell_error(request, exc) from exc
-        records[i] = CellRecord(
-            request.workload_name, request.config, "run",
-            time.monotonic() - start,
-        )
-
-
-def _commit_pack(requests, pack, outcomes, results, records) -> None:
-    """Record one executed lane pack's results into the matrix slots."""
-    width = len(pack)
-    for i, (result, elapsed) in zip(pack, outcomes):
-        results[i] = result
-        records[i] = CellRecord(
-            requests[i].workload_name, requests[i].config, "run",
-            elapsed, lanes=width,
-        )
-        key = requests[i].memo_key()
-        if key is not None:
-            store_result(key, result)
-
-
-def _run_lanes(requests, ids, results, records, width, jobs) -> None:
-    """Lane-pack dispatch: group, then run packs serially or over the pool."""
-    from repro.core.lanes import plan_packs, run_pack
-
-    packs = plan_packs(ids, requests, width)
-    serial_packs = packs
-    if jobs > 1 and len(packs) > 1:
-        serial_packs = [
-            p for p in packs if not all(_is_picklable(requests[i]) for i in p)
-        ]
-        skip = {id(p) for p in serial_packs}
-        pool_packs = [p for p in packs if id(p) not in skip]
-        if len(pool_packs) <= 1:
-            serial_packs = packs
-        else:
-            pool = _get_pool(jobs)
-            futures = {}
-            try:
-                for pack in pool_packs:
-                    futures[pool.submit(
-                        _execute_pack, [requests[i] for i in pack]
-                    )] = pack
-            except BrokenProcessPool as exc:
-                shutdown_pool()
-                raise RuntimeError(
-                    f"worker pool died while submitting lane packs: {exc}"
-                ) from exc
-            for future, pack in futures.items():
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool as exc:
-                    for other in futures:
-                        other.cancel()
-                    shutdown_pool()
-                    raise _cell_error(requests[pack[0]], exc) from exc
-                except Exception:
-                    for other in futures:
-                        other.cancel()
-                    # run_pack already names the failing cell
-                    raise
-                _commit_pack(requests, pack, outcomes, results, records)
-    for pack in serial_packs:
-        outcomes = run_pack([requests[i] for i in pack])
-        _commit_pack(requests, pack, outcomes, results, records)
-
-
-def _run_pool(requests, ids, results, records, jobs) -> None:
-    if not ids:
-        return
-    pool = _get_pool(jobs)
-    futures = {}
-    try:
-        for i in ids:
-            futures[pool.submit(_execute_cell, requests[i])] = i
-    except BrokenProcessPool as exc:
-        shutdown_pool()
-        raise RuntimeError(f"worker pool died while submitting cells: {exc}") from exc
-    for future, i in futures.items():
-        request = requests[i]
-        try:
-            result, elapsed = future.result()
-        except BrokenProcessPool as exc:
-            for other in futures:
-                other.cancel()
-            shutdown_pool()
-            raise _cell_error(request, exc) from exc
-        except Exception as exc:
-            for other in futures:
-                other.cancel()
-            raise _cell_error(request, exc) from exc
-        results[i] = result
-        records[i] = CellRecord(request.workload_name, request.config, "run", elapsed)
-        key = request.memo_key()
-        if key is not None:
-            store_result(key, result)

@@ -289,9 +289,10 @@ def prepare_run(
     """Resolve one cell's ``(core config, scheme, predictor)``.
 
     The single source of truth for how a named configuration turns into
-    :class:`~repro.core.Core` constructor arguments — shared by the scalar
-    driver below and the lane engine (:mod:`repro.core.lanes`), so both
-    construct bit-identical cores for the same cell.
+    :class:`~repro.core.Core` constructor arguments — shared by the driver
+    below, the bench (:mod:`repro.bench.runner`) and the trace exporter
+    (:mod:`repro.trace.driver`), so all three build the same core for the
+    same cell.
     """
     scheme_name, cfg_predictor = split_config(config)
     if scheme_name not in SCHEME_FACTORIES:

@@ -144,26 +144,6 @@ def _int_field(payload: Dict, field: str, problems: List[str]) -> Optional[int]:
     return value
 
 
-def parse_lanes(payload: Any) -> Optional[int]:
-    """Top-level ``lanes`` field of a submitted matrix.
-
-    ``None``/absent defers to the server's environment (``REPRO_LANES``);
-    ``0`` forces scalar dispatch; ``N >= 1`` requests lane packs of up to
-    N cells (:mod:`repro.core.lanes`).  The chosen width is recorded in
-    the job manifest so stored results say how they were produced.
-    """
-    if not isinstance(payload, dict):
-        return None
-    value = payload.get("lanes")
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise BadRequest(
-            [f"lanes must be a non-negative integer, got {value!r}"]
-        )
-    return value
-
-
 def parse_backend(payload: Any) -> Optional[str]:
     """Top-level ``backend`` field of a submitted matrix.
 
@@ -419,8 +399,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         payload = self._read_json()
         requests = parse_matrix(payload)
         job = self.server.service.queue.submit(
-            requests, lanes=parse_lanes(payload),
-            backend=parse_backend(payload),
+            requests, backend=parse_backend(payload),
         )
         self._send_json(202, {
             "job_id": job.job_id,
@@ -472,11 +451,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         cursor = since
         while True:
+            # read terminal *before* draining: the queue appends the
+            # terminal event in the same step that flips the status, so a
+            # drain after seeing terminal always includes it
+            terminal = job.terminal
             for event in job.events_since(cursor):
                 cursor = event["seq"]
                 self.wfile.write((json.dumps(event) + "\n").encode())
             self.wfile.flush()
-            if job.terminal or time.monotonic() > deadline:
+            if terminal or time.monotonic() > deadline:
                 return
             time.sleep(0.05)
 

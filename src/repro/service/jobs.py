@@ -46,9 +46,6 @@ class JobCell:
     run_id: str
     source: Optional[str] = None   # run | memo | cache | store | dedup
     wall_time: float = 0.0
-    #: lane-pack width the cell was simulated under (0 = scalar engine);
-    #: recorded so stored results remain reproducible.
-    lanes: int = 0
     #: distributed dispatch only: the worker that acked this cell.
     worker: Optional[str] = None
     result: Optional[RunResult] = None
@@ -63,7 +60,6 @@ class JobCell:
         if self.source is not None:
             out["source"] = self.source
             out["wall_time"] = round(self.wall_time, 4)
-            out["lanes"] = self.lanes
         if self.worker is not None:
             out["worker"] = self.worker
         return out
@@ -76,8 +72,6 @@ class Job:
     job_id: str
     cells: List[JobCell]
     request: Dict[str, Any]
-    #: requested lane width (None: server environment decides).
-    lanes: Optional[int] = None
     #: "local": executed by this server's queue thread via ``run_matrix``;
     #: "distributed": cells are leased to pull-based workers over HTTP.
     backend: str = "local"
@@ -115,9 +109,38 @@ class Job:
 
     def add_event(self, event: str, **payload: Any) -> None:
         with self._lock:
-            self.events.append(
-                {"seq": len(self.events) + 1, "event": event, **payload}
-            )
+            self._append(event, payload)
+
+    def _append(self, event: str, payload: Dict[str, Any]) -> None:
+        self.events.append({"seq": len(self.events) + 1, "event": event, **payload})
+
+    def finish(self, status: str, wall_time: float = 0.0,
+               error: Optional[str] = None) -> bool:
+        """Reach terminal *status* ("done" | "failed") and append its event.
+
+        Both happen under one lock, so a ``?follow=1`` stream that reads
+        :attr:`terminal` before draining always gets the terminal event.
+        Returns ``False``, changing nothing, when the job had already
+        finished (two acks racing on the last distributed cell).
+        """
+        with self._lock:
+            if self.terminal:
+                return False
+            self.wall_time = wall_time
+            self.error = error
+            self.finished = utcnow()
+            self.status = status
+            if status == "failed":
+                payload: Dict[str, Any] = {"error": error}
+            else:
+                payload = {
+                    "total": self.total,
+                    "simulated": self.simulated,
+                    "cache_hits": self.cache_hits,
+                    "wall_time": round(wall_time, 4),
+                }
+            self._append(status, payload)
+        return True
 
     def events_since(self, since: int = 0) -> List[Dict[str, Any]]:
         with self._lock:
@@ -146,7 +169,6 @@ class Job:
             "job_id": self.job_id,
             "backend": self.backend,
             "wall_time": round(self.wall_time, 4),
-            "lanes": self.lanes,
             "cells": [c.summary() for c in self.cells],
         }
 
@@ -202,14 +224,8 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     def submit(self, requests: List[RunRequest],
-               lanes: Optional[int] = None,
                backend: Optional[str] = None) -> Job:
         """Enqueue a matrix; returns the (still queued) job immediately.
-
-        *lanes* selects the dispatch mode each chunk's ``run_matrix`` uses
-        (see :mod:`repro.core.lanes`); ``None`` defers to the server's
-        ``REPRO_LANES`` environment.  Results are bit-identical either
-        way; the manifest records the width actually used per cell.
 
         *backend* ``"distributed"`` skips the local queue thread entirely:
         the cells become pending rows in the store's lease table, and the
@@ -231,9 +247,8 @@ class JobQueue:
         job = Job(
             job_id=new_job_id(),
             cells=cells,
-            request={"cells": [c.summary() for c in cells], "lanes": lanes,
+            request={"cells": [c.summary() for c in cells],
                      "backend": backend},
-            lanes=lanes,
             backend=backend,
         )
         job.add_event("queued", total=job.total)
@@ -317,22 +332,11 @@ class JobQueue:
 
     def _finalize_distributed(self, job_id: str, job: Optional[Job]) -> None:
         if job is not None:
-            with self._lock:
-                if job.terminal:
-                    return  # two acks raced on the last cell; idempotent
-                job.status = "done"
-            started = self._started_at.pop(job_id, None)
-            job.wall_time = (
-                time.monotonic() - started if started is not None else 0.0
-            )
-            job.finished = utcnow()
-            job.add_event(
-                "done",
-                total=job.total,
-                simulated=job.simulated,
-                cache_hits=job.cache_hits,
-                wall_time=round(job.wall_time, 4),
-            )
+            started = self._started_at.get(job_id)
+            wall_time = time.monotonic() - started if started is not None else 0.0
+            if not job.finish("done", wall_time=wall_time):
+                return  # two acks raced on the last cell; idempotent
+            self._started_at.pop(job_id, None)
             self.store.update_job(
                 job.job_id, status="done", finished=job.finished,
                 manifest=job.manifest_dict(),
@@ -352,13 +356,12 @@ class JobQueue:
                 **cell,
                 "source": "run",
                 "wall_time": round(row["wall_time"], 4) if row else 0.0,
-                "lanes": 0,
                 "worker": row["worker"] if row else None,
             })
         self.store.update_job(
             job_id, status="done", finished=utcnow(),
             manifest={"job_id": job_id, "backend": "distributed",
-                      "wall_time": 0.0, "lanes": None, "cells": cells},
+                      "wall_time": 0.0, "cells": cells},
         )
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -393,10 +396,8 @@ class JobQueue:
             try:
                 self._execute(job)
             except Exception as exc:  # a failed job must not kill the queue
-                job.status = "failed"
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.finished = utcnow()
-                job.add_event("failed", error=job.error)
+                if not job.finish("failed", error=f"{type(exc).__name__}: {exc}"):
+                    continue
                 self.store.update_job(
                     job.job_id, status="failed", error=job.error,
                     finished=job.finished,
@@ -409,11 +410,7 @@ class JobQueue:
         self.store.update_job(job.job_id, status="running", started=job.started)
         started = time.monotonic()
         # progress granularity: one pool-width of cells per run_matrix call
-        # — scaled by the lane width when lane packs are on, so chunking
-        # never splits cells that would have shared a pack.
-        from repro.core.lanes import resolve_lanes
-
-        chunk = max(1, self.jobs or 1) * max(1, resolve_lanes(job.lanes))
+        chunk = max(1, self.jobs or 1)
         # a local job must never recurse into distributed dispatch, even
         # when the server itself runs under REPRO_BACKEND=distributed
         backend = resolve_backend(None)
@@ -421,8 +418,7 @@ class JobQueue:
         for lo in range(0, job.total, chunk):
             cells = job.cells[lo:lo + chunk]
             results = run_matrix(
-                [c.request for c in cells], jobs=self.jobs, lanes=job.lanes,
-                backend=backend,
+                [c.request for c in cells], jobs=self.jobs, backend=backend,
             )
             manifest = last_manifest()
             records = manifest.cells if manifest is not None else []
@@ -435,7 +431,6 @@ class JobQueue:
                 cell.result = result
                 cell.source = record.source
                 cell.wall_time = record.wall_time
-                cell.lanes = record.lanes
                 self.store.put(
                     cell.request.memo_key(), result, job_id=job.job_id
                 )
@@ -445,16 +440,7 @@ class JobQueue:
                     total=job.total,
                     **cell.summary(),
                 )
-        job.wall_time = time.monotonic() - started
-        job.status = "done"
-        job.finished = utcnow()
-        job.add_event(
-            "done",
-            total=job.total,
-            simulated=job.simulated,
-            cache_hits=job.cache_hits,
-            wall_time=round(job.wall_time, 4),
-        )
+        job.finish("done", wall_time=time.monotonic() - started)
         self.store.update_job(
             job.job_id, status="done", finished=job.finished,
             manifest=job.manifest_dict(),

@@ -1,15 +1,21 @@
 """Tests for the parallel experiment-matrix layer (harness/parallel.py)."""
 
+import os
+
 import pytest
 
+from repro.harness import cache as result_cache
+from repro.harness.cache import ResultCache, set_active_cache, set_active_store
 from repro.harness.parallel import (
     RunRequest,
     default_jobs,
     last_manifest,
     run_matrix,
+    run_tasks,
     shutdown_pool,
 )
-from repro.harness.runner import clear_memo, compare_configs
+from repro.harness.runner import clear_memo, compare_configs, run_workload
+from repro.service.store import ExperimentStore
 from repro.workloads import Workload
 from tests.conftest import h2p_hammock_workload
 
@@ -24,6 +30,40 @@ def _fresh_memo():
     yield
     clear_memo()
     shutdown_pool()
+
+
+_PARENT_PID = os.getpid()
+
+
+def _run_workload_or_die(**kwargs):
+    """``run_workload``, except a pool worker given config "die" exits."""
+    if kwargs["config"] == "die" and os.getpid() != _PARENT_PID:
+        os._exit(3)
+    return run_workload(**kwargs)
+
+
+def _log_puts(monkeypatch, tier, log):
+    """Append "<tier class> <pid>" to *log* on every ``tier.put``; a file,
+    so writes from forked pool workers would show up too."""
+    original = tier.put
+
+    def put(key, result, *args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{type(tier).__name__} {os.getpid()}\n")
+        return original(key, result, *args, **kwargs)
+
+    monkeypatch.setattr(tier, "put", put)
+
+
+def _active_tiers(_item):
+    return (result_cache.get_active_cache() is not None,
+            result_cache.get_active_store() is not None)
+
+
+def _fail_on_two_and_three(item):
+    if item in (2, 3):
+        raise ValueError(f"task {item} failed")
+    return item * 10
 
 
 def _matrix_requests():
@@ -117,81 +157,82 @@ class TestRunMatrix:
         assert direct.stats == via_matrix.stats
 
 
-class TestLanesDispatch:
-    def test_lanes_dispatch_bit_identical(self):
-        scalar = run_matrix(_matrix_requests(), jobs=1, lanes=0)
-        clear_memo()
-        laned = run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        for s, l in zip(scalar, laned):
-            assert s.workload == l.workload and s.config == l.config
-            assert s.stats == l.stats
+class TestDispatchLoop:
+    """The one executor loop under run_matrix and run_tasks: failures and
+    the result tiers, for every backend."""
 
-    def test_manifest_records_lane_widths(self):
-        run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        manifest = last_manifest()
-        assert manifest.lanes == 4
-        # 3 configs per workload → each pack holds 3 lanes
-        assert all(c.source == "run" and c.lanes == 3 for c in manifest.cells)
+    def test_pool_worker_death_names_cell_and_pool_recovers(self, monkeypatch):
+        import repro.harness.parallel as parallel
 
-    def test_env_width_drives_dispatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "2")
-        run_matrix(_matrix_requests(), jobs=1)
-        manifest = last_manifest()
-        assert manifest.lanes == 2
-        # 3 configs per workload split into packs of 2 + 1
-        assert all(0 < c.lanes <= 2
-                   for c in manifest.cells if c.source == "run")
-
-    def test_cache_hits_bypass_lanes(self):
-        run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        manifest = last_manifest()
-        assert manifest.simulated == 0 and manifest.cache_hits == 6
-        # nothing was simulated, so no cell carries a pack width
-        assert all(c.lanes == 0 for c in manifest.cells)
-
-    def test_duplicate_cells_dedup_inside_lane_matrix(self):
+        shutdown_pool()  # fresh workers fork with the patched run_workload
+        monkeypatch.setattr(parallel, "run_workload", _run_workload_or_die)
         requests = [
+            RunRequest(workload="gcc", config="die", **FAST),
             RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", config="acb", **FAST),
         ]
-        results = run_matrix(requests, jobs=1, lanes=4)
-        manifest = last_manifest()
-        assert manifest.simulated == 2
-        assert sum(1 for c in manifest.cells if c.source == "dedup") == 1
-        assert results[0].stats == results[1].stats
+        with pytest.raises(RuntimeError, match="gcc.*die.*BrokenProcessPool"):
+            run_matrix(requests, jobs=2)
+        assert parallel._POOL is None  # the broken pool was shut down
 
-    def test_lane_packs_fan_out_over_pool(self):
-        serial = run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        clear_memo()
-        pooled = run_matrix(_matrix_requests(), jobs=2, lanes=4)
-        manifest = last_manifest()
-        assert manifest.lanes == 4 and manifest.simulated == 6
-        for s, p in zip(serial, pooled):
-            assert s.stats == p.stats
+        results = run_matrix(_matrix_requests(), jobs=2)
+        assert [r.workload for r in results] == [
+            r.workload for r in _matrix_requests()
+        ]
+        assert last_manifest().simulated == 6
 
-    def test_non_picklable_pack_falls_back_to_serial(self):
-        workload = h2p_hammock_workload()
-        workload.__class__ = type("LocalWorkload", (Workload,), {})
+    @pytest.mark.parametrize("backend,jobs", [
+        ("serial", 1), ("pool", 2), ("distributed", None),
+    ])
+    def test_each_simulated_cell_written_through_once(
+        self, tmp_path, monkeypatch, backend, jobs
+    ):
+        monkeypatch.setenv("REPRO_DIST_WORKERS", "1")
+        log = tmp_path / "puts.log"
+        cache = ResultCache(str(tmp_path / "cache"))
+        store = ExperimentStore(str(tmp_path / "exp.sqlite"))
+        _log_puts(monkeypatch, cache, log)
+        _log_puts(monkeypatch, store, log)
         requests = [
-            RunRequest(workload=workload, **FAST),
-            RunRequest(workload=workload, config="acb", **FAST),
-            RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", config="acb", **FAST),
+            RunRequest(workload="lammps", config=config, **FAST)
+            for config in ("baseline", "acb", "dmp")
         ]
-        results = run_matrix(requests, jobs=2, lanes=4)
-        assert [r.workload for r in results] == ["h2p", "h2p", "lammps", "lammps"]
-        assert all(c.source == "run" and c.lanes == 2
-                   for c in last_manifest().cells)
+        previous_cache = set_active_cache(cache)
+        previous_store = set_active_store(store)
+        try:
+            run_matrix(requests, jobs=jobs, backend=backend)
+        finally:
+            set_active_cache(previous_cache)
+            set_active_store(previous_store)
+        assert last_manifest().backend == backend
+        assert last_manifest().simulated == len(requests)
+        lines = log.read_text().splitlines()
+        assert sorted(lines) == sorted(
+            f"{tier} {os.getpid()}"
+            for tier in ("ResultCache", "ExperimentStore")
+            for _ in requests
+        )
 
-    def test_lane_error_names_failing_cell(self):
-        requests = [
-            RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", config="no-such-config", **FAST),
+    def test_pool_workers_detach_tiers_serial_keeps_them(self, tmp_path):
+        previous_cache = set_active_cache(ResultCache(str(tmp_path / "cache")))
+        previous_store = set_active_store(ExperimentStore(str(tmp_path / "db")))
+        try:
+            assert run_tasks(_active_tiers, range(2), jobs=1) == [(True, True)] * 2
+            assert run_tasks(_active_tiers, range(2), jobs=2) == [(False, False)] * 2
+            assert _active_tiers(None) == (True, True)
+        finally:
+            set_active_cache(previous_cache)
+            set_active_store(previous_store)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_tasks_ordered_results(self, jobs):
+        assert run_tasks(_fail_on_two_and_three, [0, 1, 4, 5], jobs=jobs) == [
+            0, 10, 40, 50,
         ]
-        with pytest.raises(RuntimeError, match="lammps.*no-such-config"):
-            run_matrix(requests, jobs=1, lanes=4)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_tasks_propagates_first_task_error(self, jobs):
+        with pytest.raises(ValueError, match="task 2 failed"):
+            run_tasks(_fail_on_two_and_three, range(5), jobs=jobs)
 
 
 class TestPoolLifecycle:

@@ -20,6 +20,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -207,6 +209,69 @@ def test_follow_streams_ndjson(service):
         lines = [json.loads(line) for line in resp.read().splitlines()]
     assert lines[0]["event"] == "queued"
     assert lines[-1]["event"] in ("done", "failed")
+
+
+def _follow(service, job_id):
+    url = f"{service.url}/api/v1/jobs/{job_id}/events?follow=1&timeout=60"
+    with urllib.request.urlopen(url, timeout=90) as resp:
+        return [json.loads(line) for line in resp.read().splitlines()]
+
+
+def test_follow_stream_gets_terminal_event_appended_with_status(
+    service, monkeypatch
+):
+    """A stream that sees the job terminal must also see its terminal
+    event: no event appended through ``add_event`` after the status flip
+    may be the terminal one.  ``add_event`` is held for terminal events
+    until the stream has ended."""
+    from repro.service.jobs import Job
+
+    streamed = threading.Event()
+    original = Job.add_event
+
+    def gated(job, event, **payload):
+        if event in ("done", "failed"):
+            streamed.wait(timeout=30)
+        original(job, event, **payload)
+
+    monkeypatch.setattr(Job, "add_event", gated)
+    job = service.submit(workloads=["lammps"], configs=["baseline"],
+                         warmup=WARMUP, measure=MEASURE)
+    try:
+        lines = _follow(service, job["job_id"])
+    finally:
+        streamed.set()
+    assert lines[-1]["event"] == "done"
+
+
+def test_follow_stream_reads_terminal_before_draining(service, monkeypatch):
+    """The job finishes between a drain and the loop's terminal check;
+    the stream must still end with the terminal event."""
+    from repro.service import jobs
+    from repro.service.jobs import Job
+
+    stream_open = threading.Event()
+    original_run_matrix = jobs.run_matrix
+    original_events_since = Job.events_since
+
+    def held_run_matrix(*args, **kwargs):
+        stream_open.wait(timeout=30)
+        return original_run_matrix(*args, **kwargs)
+
+    def stale_drain(job, since=0):
+        stream_open.set()
+        events = original_events_since(job, since)
+        deadline = time.monotonic() + 30
+        while not job.terminal and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return events
+
+    monkeypatch.setattr(jobs, "run_matrix", held_run_matrix)
+    monkeypatch.setattr(Job, "events_since", stale_drain)
+    job = service.submit(workloads=["gcc"], configs=["baseline"],
+                         warmup=WARMUP, measure=MEASURE)
+    lines = _follow(service, job["job_id"])
+    assert [e["event"] for e in lines] == ["queued", "running", "cell", "done"]
 
 
 def test_route_table_is_complete():
