@@ -84,15 +84,13 @@ from repro.harness.cache import ResultCache, set_active_cache
 from repro.harness.parallel import (
     BACKENDS,
     RunRequest,
+    field_problem,
     resolve_backend,
     run_matrix,
     session_manifests,
 )
 from repro.harness.reporting import summarize_manifests
-from repro.harness.runner import SCHEME_FACTORIES, split_config
-from repro.workloads import categories, suite_names
-from repro.workloads.frontier import is_frontier_name
-from repro.workloads.trace import is_trace_name, resolve_trace_path
+from repro.workloads import categories
 
 EXPERIMENTS = {
     "fig1": experiments.fig1_scaling_potential,
@@ -114,44 +112,21 @@ EXPERIMENTS = {
 }
 
 
-def _workload_ref(name: str) -> str:
-    """argparse type: a suite workload name or ``trace:<name-or-path>``."""
-    if is_trace_name(name):
-        try:
-            resolve_trace_path(name)
-        except KeyError as exc:
-            raise argparse.ArgumentTypeError(str(exc).strip("'\"")) from None
-        return name
-    if name in suite_names() or is_frontier_name(name):
-        return name
-    raise argparse.ArgumentTypeError(
-        f"unknown workload {name!r}: not a suite workload (see `repro suite`), "
-        f"not a frontier workload, and not a trace:<name-or-path> reference"
-    )
+def _cell_arg(name: str, convert=str):
+    """argparse type for the cell field *name*.
 
-
-def _config_ref(name: str) -> str:
-    """argparse type: a configuration name, optionally ``@<predictor>``.
-
-    ``choices=`` can't express the open ``scheme@predictor`` product, so
-    ``run``/``trace``/``compare`` validate through the same
-    :func:`split_config` convention the harness uses.
+    Checks through :func:`~repro.harness.parallel.field_problem`, like
+    every other layer that accepts a cell.
     """
-    scheme, predictor = split_config(name)
-    if scheme not in SCHEME_FACTORIES:
-        raise argparse.ArgumentTypeError(
-            f"unknown config {scheme!r}; choose from {sorted(SCHEME_FACTORIES)} "
-            f"(optionally suffixed '@<predictor>', e.g. acb@bullseye)"
-        )
-    if predictor is not None:
-        from repro.branch import PREDICTORS
+    def parse(text: str):
+        value = convert(text)
+        problem = field_problem(name, value)
+        if problem is not None:
+            raise argparse.ArgumentTypeError(problem)
+        return value
 
-        if predictor not in PREDICTORS:
-            raise argparse.ArgumentTypeError(
-                f"unknown predictor {predictor!r}; "
-                f"choose from {sorted(PREDICTORS)}"
-            )
-    return name
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -615,20 +590,20 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one workload")
-    p_run.add_argument("workload", type=_workload_ref, metavar="WORKLOAD",
+    p_run.add_argument("workload", type=_cell_arg("workload"), metavar="WORKLOAD",
                        help="suite workload or trace:<name-or-path>")
-    p_run.add_argument("--config", default="acb", type=_config_ref,
+    p_run.add_argument("--config", default="acb", type=_cell_arg("config"),
                        help="configuration name, optionally @<predictor> "
                             "(e.g. acb@bullseye)")
-    p_run.add_argument("--scale", type=int, default=1)
+    p_run.add_argument("--scale", type=_cell_arg("core_scale", int), default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare configurations")
-    p_cmp.add_argument("workload", type=_workload_ref, metavar="WORKLOAD",
+    p_cmp.add_argument("workload", type=_cell_arg("workload"), metavar="WORKLOAD",
                        help="suite workload or trace:<name-or-path>")
-    p_cmp.add_argument("configs", nargs="*",
+    p_cmp.add_argument("configs", nargs="*", type=_cell_arg("config"),
                        default=["baseline", "acb", "dmp", "dhp"])
-    p_cmp.add_argument("--scale", type=int, default=1)
+    p_cmp.add_argument("--scale", type=_cell_arg("core_scale", int), default=1)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_suite = sub.add_parser("suite", help="list the workload suite")
@@ -664,11 +639,11 @@ def main(argv=None) -> int:
     p_trc = sub.add_parser(
         "trace", help="export cycle-level pipeline and ACB decision traces"
     )
-    p_trc.add_argument("workload", type=_workload_ref, metavar="WORKLOAD",
+    p_trc.add_argument("workload", type=_cell_arg("workload"), metavar="WORKLOAD",
                        help="suite workload or trace:<name-or-path>")
-    p_trc.add_argument("--config", default="acb", type=_config_ref,
+    p_trc.add_argument("--config", default="acb", type=_cell_arg("config"),
                        help="configuration name, optionally @<predictor>")
-    p_trc.add_argument("--scale", type=int, default=1)
+    p_trc.add_argument("--scale", type=_cell_arg("core_scale", int), default=1)
     p_trc.add_argument("--warmup", type=int, default=3000,
                        help="warm-up instructions before the traced window")
     p_trc.add_argument("--measure", type=int, default=2000,
@@ -747,18 +722,18 @@ def main(argv=None) -> int:
     p_sub = sub.add_parser(
         "submit", help="submit a matrix to a running service over HTTP"
     )
-    p_sub.add_argument("workloads", nargs="+", type=_workload_ref,
+    p_sub.add_argument("workloads", nargs="+", type=_cell_arg("workload"),
                        metavar="WORKLOAD",
                        help="suite workloads or trace:<name-or-path> refs")
-    p_sub.add_argument("--configs", nargs="+", type=_config_ref,
+    p_sub.add_argument("--configs", nargs="+", type=_cell_arg("config"),
                        default=["baseline", "acb"],
                        help="configuration names, optionally @<predictor>")
     p_sub.add_argument("--url", default=None,
                        help="service base URL (default: REPRO_SERVICE_URL, "
                             "else http://127.0.0.1:8321)")
-    p_sub.add_argument("--warmup", type=int, default=None)
-    p_sub.add_argument("--measure", type=int, default=None)
-    p_sub.add_argument("--scale", type=int, default=None,
+    p_sub.add_argument("--warmup", type=_cell_arg("warmup", int), default=None)
+    p_sub.add_argument("--measure", type=_cell_arg("measure", int), default=None)
+    p_sub.add_argument("--scale", type=_cell_arg("core_scale", int), default=None,
                        help="core scale factor for every cell")
     p_sub.add_argument("--timeout", type=float, default=600.0,
                        help="seconds to wait for completion (default 600)")

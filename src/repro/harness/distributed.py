@@ -11,8 +11,9 @@ path the serial driver uses, and post the stats back.
 The protocol is three POSTs (see docs/distributed.md):
 
 ``/api/v1/workers/lease``
-    claim the oldest pending cell; the response carries the RunRequest
-    fields, a ``lease_id``, and a deadline ``ttl`` seconds out.
+    claim the oldest pending cell; the response carries the cell's wire
+    form (``RunRequest.fields()``), a ``lease_id``, and a deadline
+    ``ttl`` seconds out.
 ``/api/v1/workers/heartbeat``
     renew the deadline while the cell simulates (a daemon thread here).
 ``/api/v1/workers/ack``
@@ -39,6 +40,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.harness.parallel import RunRequest
 from repro.harness.runner import run_workload
 
 __all__ = [
@@ -148,14 +150,8 @@ def run_worker(
         beat.start()
         start = time.monotonic()
         try:
-            result = run_workload(
-                workload=cell["workload"],
-                config=cell.get("config", "baseline"),
-                core_scale=cell.get("core_scale") or 1,
-                predictor=cell.get("predictor"),
-                warmup=cell.get("warmup"),
-                measure=cell.get("measure"),
-            )
+            request = RunRequest.from_fields(cell)
+            result = run_workload(**request.kwargs())
         finally:
             stop.set()
         wall = time.monotonic() - start
@@ -173,9 +169,8 @@ def run_worker(
             continue  # zombie: the cell was re-leased while we ran it
         completed += 1
         if progress is not None:
-            progress(f"{worker_id}: {cell['workload']} × "
-                     f"{cell.get('config', 'baseline')} "
-                     f"({wall:.2f}s, run_id {cell['run_id']})")
+            progress(f"{worker_id}: {request.workload_name} × "
+                     f"{request.config} ({wall:.2f}s, run_id {cell['run_id']})")
         if once:
             return completed
 
@@ -277,7 +272,6 @@ def dispatch_cells(
     from repro.core.stats import SimStats
     from repro.harness.runner import RunResult
     from repro.service.client import ServiceClient
-    from repro.service.jobs import request_fields
 
     if not ids:
         return {}
@@ -292,7 +286,7 @@ def dispatch_cells(
             url = stack.enter_context(_embedded_service())
         client = ServiceClient(url)
         job = client.submit(
-            cells=[request_fields(requests[i]) for i in ids],
+            cells=[requests[i].fields() for i in ids],
             backend="distributed",
         )
         procs = spawn_local_workers(url, count, ttl=ttl)

@@ -24,7 +24,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.acb import AcbConfig
@@ -32,20 +32,28 @@ from repro.core import CoreConfig
 from repro.harness import cache as result_cache
 from repro.harness.runner import (
     RunResult,
+    _relabel,
+    config_problem,
     lookup_cached,
     normalized_run_key,
+    predictor_problem,
     run_workload,
     store_result,
+    workload_problem,
 )
 from repro.workloads import Workload
 
 __all__ = [
     "BACKENDS",
+    "CellError",
     "CellRecord",
+    "HIT_SOURCES",
     "MatrixManifest",
     "RunRequest",
     "default_jobs",
+    "field_problem",
     "last_manifest",
+    "positive_int_problem",
     "reset_manifests",
     "resolve_backend",
     "run_matrix",
@@ -94,6 +102,42 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+#: The wire form of a cell: the fields a worker re-runs it from, in the
+#: order they travel as JSON (service requests, lease rows).
+WIRE_FIELDS = ("workload", "config", "core_scale", "predictor", "warmup", "measure")
+
+
+class CellError(ValueError):
+    """A cell that breaks the contract; ``problems`` names every defect."""
+
+    def __init__(self, problems: List[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
+def positive_int_problem(name: str, value: Any) -> Optional[str]:
+    """Why *value* is no positive integer for *name*; ``None`` passes."""
+    if value is None or type(value) is int and value >= 1:  # not bool
+        return None
+    return f"{name} must be a positive integer, got {value!r}"
+
+
+def field_problem(name: str, value: Any) -> Optional[str]:
+    """Why *value* is no valid wire field *name*, or ``None``.
+
+    A ``None`` value means the field's default; only ``workload`` is required.
+    """
+    if name == "workload":
+        return workload_problem(value)
+    if value is None:
+        return None
+    if name == "config":
+        return config_problem(value)
+    if name == "predictor":
+        return predictor_problem(value)
+    return positive_int_problem(name, value)
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """One cell of an experiment matrix (the arguments of ``run_workload``)."""
@@ -127,16 +171,32 @@ class RunRequest:
         )
 
     def kwargs(self) -> Dict:
-        return {
-            "workload": self.workload,
-            "config": self.config,
-            "core_scale": self.core_scale,
-            "predictor": self.predictor,
-            "warmup": self.warmup,
-            "measure": self.measure,
-            "acb_config": self.acb_config,
-            "core_config": self.core_config,
-        }
+        return dict(vars(self))  # every field is a run_workload argument
+
+    def fields(self) -> Dict[str, Any]:
+        """The wire form: exactly the fields a worker re-runs the cell from."""
+        out = {name: getattr(self, name) for name in WIRE_FIELDS}
+        out["workload"] = self.workload_name
+        return out
+
+    @classmethod
+    def from_fields(cls, fields: Dict[str, Any]) -> "RunRequest":
+        """A checked cell from its wire form; other keys are ignored.
+
+        An absent or ``None`` field takes the default above (for
+        ``warmup``/``measure``: the default window).  Raises
+        :class:`CellError` naming every problem at once.
+        """
+        problems = [problem for name in WIRE_FIELDS
+                    if (problem := field_problem(name, fields.get(name)))]
+        if problems:
+            raise CellError(problems)
+        return cls(**{name: fields[name] for name in WIRE_FIELDS
+                      if fields.get(name) is not None})
+
+
+#: Cell sources that mean "answered without simulating".
+HIT_SOURCES = ("memo", "cache", "store", "dedup")
 
 
 @dataclass
@@ -145,7 +205,7 @@ class CellRecord:
 
     workload: str
     config: str
-    source: str          # "run" | "memo" | "cache" | "store" | "dedup"
+    source: str          # "run" or one of HIT_SOURCES
     wall_time: float = 0.0
     #: distributed dispatch only: the worker that executed the cell.
     worker: str = ""
@@ -174,10 +234,7 @@ class MatrixManifest:
 
     @property
     def cache_hits(self) -> int:
-        return sum(
-            1 for c in self.cells
-            if c.source in ("memo", "cache", "store", "dedup")
-        )
+        return sum(1 for c in self.cells if c.source in HIT_SOURCES)
 
     @property
     def hit_rate(self) -> float:
@@ -383,7 +440,7 @@ def run_matrix(
                 continue
             cached, source = lookup_cached(key)
             if cached is not None:
-                results[i] = _relabelled(cached, request)
+                results[i] = _relabel(cached, request.config)
                 records[i] = CellRecord(
                     request.workload_name, request.config, source
                 )
@@ -418,7 +475,7 @@ def run_matrix(
     for i, request in enumerate(requests):
         if results[i] is None and records[i] is not None and records[i].source == "dedup":
             owner = first_for_key[request.memo_key()]
-            results[i] = _relabelled(results[owner], request)
+            results[i] = _relabel(results[owner], request.config)
 
     manifest.cells = [r for r in records if r is not None]
     manifest.wall_time = time.monotonic() - started
@@ -464,8 +521,3 @@ def run_tasks(fn, items, jobs: Optional[int] = None) -> List:
         results[i] = outcome
     return results
 
-
-def _relabelled(result: RunResult, request: RunRequest) -> RunResult:
-    if result.config == request.config:
-        return result
-    return replace(result, config=request.config)

@@ -22,15 +22,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.acb import AcbConfig, AcbScheme
 from repro.baselines import DhpScheme, DmpPbhScheme, DmpScheme, WishScheme
+from repro.branch import PREDICTORS
 from repro.core import SKYLAKE_LIKE, Core, CoreConfig, scaled
 from repro.core.predication import PredicationScheme
 from repro.core.stats import SimStats
 from repro.harness import cache as result_cache
-from repro.workloads import Workload, load_suite
+from repro.workloads import Workload, load_suite, suite_names
+from repro.workloads.frontier import is_frontier_name, load_frontier_workload
 from repro.workloads.trace import (
     TraceReplayWorkload,
     is_trace_name,
@@ -82,6 +84,44 @@ def split_config(config: str) -> Tuple[str, Optional[str]]:
     return config, None
 
 
+def workload_problem(name: Any) -> Optional[str]:
+    """Why *name* is no workload :func:`resolve_workload` can load, or ``None``."""
+    if not isinstance(name, str) or not name:
+        return f"workload must be a non-empty string, got {name!r}"
+    if is_trace_name(name):
+        try:
+            resolve_trace_path(name)
+        except KeyError as exc:
+            return str(exc).strip("'\"")
+        return None
+    if name in suite_names() or is_frontier_name(name):
+        return None
+    return (
+        f"unknown workload {name!r}: not a suite workload (see `repro suite`), "
+        f"not a frontier workload, and not a trace:<name-or-path> reference"
+    )
+
+
+def predictor_problem(name: Any) -> Optional[str]:
+    """Why *name* is no branch predictor, or ``None`` when it is one."""
+    if name in PREDICTORS:
+        return None
+    return f"unknown predictor {name!r}; choose from {sorted(PREDICTORS)}"
+
+
+def config_problem(config: Any) -> Optional[str]:
+    """Why *config* is no ``scheme[@predictor]`` name, or ``None``."""
+    if not isinstance(config, str) or not config:
+        return f"config must be a non-empty string, got {config!r}"
+    scheme, predictor = split_config(config)
+    if scheme not in SCHEME_FACTORIES:
+        return (
+            f"unknown config {scheme!r}; choose from {sorted(SCHEME_FACTORIES)} "
+            f"(optionally suffixed '@<predictor>', e.g. acb@bullseye)"
+        )
+    return None if predictor is None else predictor_problem(predictor)
+
+
 def make_scheme(
     config: str, acb_config: Optional[AcbConfig] = None
 ) -> Optional[PredicationScheme]:
@@ -90,20 +130,18 @@ def make_scheme(
     ACB variants apply their field overrides to *acb_config* (default: the
     reduced suite configuration), so the same variant can run at a
     different window scale — trace workloads supply a base proportional to
-    their window length.  A ``@predictor`` suffix is ignored here (the
-    predictor is the core's concern, not the scheme's).
+    their window length.  A ``@predictor`` suffix is checked, then ignored
+    here (the predictor is the core's concern, not the scheme's).
     """
+    problem = config_problem(config)
+    if problem is not None:
+        raise ValueError(problem)
     config, _ = split_config(config)
     if config in ACB_VARIANTS:
         base = acb_config if acb_config is not None else reduced_acb_config()
         overrides = ACB_VARIANTS[config]
         return AcbScheme(replace(base, **overrides) if overrides else base)
-    factory = SCHEME_FACTORIES.get(config)
-    if factory is None:
-        raise ValueError(
-            f"unknown config {config!r}; choose from {sorted(SCHEME_FACTORIES)}"
-        )
-    return factory()
+    return SCHEME_FACTORIES[config]()
 
 
 def _acb_factory(name: str) -> Callable[[], Optional[PredicationScheme]]:
@@ -132,8 +170,6 @@ def resolve_workload(name: str) -> Workload:
     """Map a workload name — suite, frontier, or ``trace:<ref>``."""
     if is_trace_name(name):
         return load_trace_workload(name)
-    from repro.workloads.frontier import is_frontier_name, load_frontier_workload
-
     if is_frontier_name(name):
         return load_frontier_workload(name)
     (workload,) = load_suite([name])
@@ -295,12 +331,6 @@ def prepare_run(
     same cell.
     """
     scheme_name, cfg_predictor = split_config(config)
-    if scheme_name not in SCHEME_FACTORIES:
-        raise ValueError(
-            f"unknown config {scheme_name!r}; "
-            f"choose from {sorted(SCHEME_FACTORIES)} "
-            f"(optionally suffixed '@<predictor>')"
-        )
     if cfg_predictor is not None:
         predictor = cfg_predictor
     scheme = scheme_for(workload_obj, config, acb_config=acb_config)

@@ -26,8 +26,17 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.harness.cache import set_active_store
-from repro.harness.parallel import RunRequest
-from repro.harness.runner import SCHEME_FACTORIES, RunResult, split_config
+from repro.harness.parallel import (
+    CellError,
+    RunRequest,
+    field_problem,
+    positive_int_problem,
+)
+from repro.harness.runner import (
+    RunResult,
+    config_problem,
+    workload_problem,
+)
 from repro.service.jobs import JobQueue, new_job_id
 from repro.service.store import (
     DEFAULT_LEASE_TTL,
@@ -86,73 +95,28 @@ def _compile(pattern: str) -> "re.Pattern[str]":
 _COMPILED = [(route, _compile(route.pattern)) for route in ROUTES]
 
 
-class BadRequest(ValueError):
+class BadRequest(CellError):
     """A 400: the body carries the per-problem detail list."""
-
-    def __init__(self, problems: List[str]):
-        super().__init__("; ".join(problems))
-        self.problems = problems
 
 
 # ----------------------------------------------------------------------
 # request parsing / validation
 # ----------------------------------------------------------------------
-def _validate_workload(name: Any) -> Optional[str]:
-    from repro.workloads import suite_names
-    from repro.workloads.frontier import is_frontier_name
-    from repro.workloads.trace import is_trace_name, resolve_trace_path
-
-    if not isinstance(name, str) or not name:
-        return f"workload must be a non-empty string, got {name!r}"
-    if is_trace_name(name):
-        try:
-            resolve_trace_path(name)
-        except KeyError as exc:
-            return str(exc).strip("'\"")
-        return None
-    if name in suite_names() or is_frontier_name(name):
-        return None
-    return (
-        f"unknown workload {name!r}: not a suite workload, not a frontier "
-        f"workload, and not a trace:<name-or-path> reference"
-    )
-
-
-def _validate_config(name: Any) -> Optional[str]:
-    from repro.branch import PREDICTORS
-
-    if not isinstance(name, str) or not name:
-        return f"config must be a non-empty string, got {name!r}"
-    scheme, predictor = split_config(name)
-    if scheme not in SCHEME_FACTORIES:
-        return (
-            f"unknown config {scheme!r}; choose from "
-            f"{sorted(SCHEME_FACTORIES)} (optionally '@<predictor>')"
-        )
-    if predictor is not None and predictor not in PREDICTORS:
-        return f"unknown predictor {predictor!r}; choose from {sorted(PREDICTORS)}"
-    return None
-
-
-def _int_field(payload: Dict, field: str, problems: List[str]) -> Optional[int]:
+def _string_field(payload: Dict, field: str, problems: List[str]) -> str:
     value = payload.get(field)
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        problems.append(f"{field} must be a positive integer, got {value!r}")
-        return None
-    return value
+    if isinstance(value, str) and value:
+        return value
+    problems.append(f"{field} must be a non-empty string, got {value!r}")
+    return ""
 
 
-def parse_backend(payload: Any) -> Optional[str]:
+def parse_backend(payload: Dict[str, Any]) -> Optional[str]:
     """Top-level ``backend`` field of a submitted matrix.
 
     ``None``/absent/``"local"`` executes on this server's job queue;
     ``"distributed"`` turns the cells into leasable rows that pull-based
     workers execute over HTTP (docs/distributed.md).
     """
-    if not isinstance(payload, dict):
-        return None
     value = payload.get("backend")
     if value is None or value == "local":
         return None
@@ -176,23 +140,24 @@ def _float_field(
     return float(value)
 
 
-def parse_matrix(payload: Any) -> List[RunRequest]:
-    """Submitted JSON → validated ``RunRequest`` cells.
+def parse_matrix(payload: Dict[str, Any]) -> List[RunRequest]:
+    """A submitted JSON object → checked ``RunRequest`` cells.
 
     Two spellings: an explicit ``"cells"`` list, or a ``"workloads"`` ×
     ``"configs"`` product.  Top-level ``warmup``/``measure``/``core_scale``
-    /``predictor`` are defaults each cell may override.  Raises
+    /``predictor`` are defaults each cell may override.  Defaults and
+    cells pass the same checks (:meth:`RunRequest.from_fields`); a bad
+    default is reported once, not once per cell.  Raises
     :class:`BadRequest` listing every problem at once.
     """
     problems: List[str] = []
-    if not isinstance(payload, dict):
-        raise BadRequest(["request body must be a JSON object"])
-    defaults = {
-        "warmup": _int_field(payload, "warmup", problems),
-        "measure": _int_field(payload, "measure", problems),
-        "core_scale": _int_field(payload, "core_scale", problems) or 1,
-        "predictor": payload.get("predictor"),
-    }
+    defaults = {}
+    for name in ("warmup", "measure", "core_scale", "predictor"):
+        problem = field_problem(name, payload.get(name))
+        if problem is None:
+            defaults[name] = payload.get(name)
+        else:
+            problems.append(problem)
     cells = payload.get("cells")
     if cells is None:
         workloads = payload.get("workloads")
@@ -222,33 +187,10 @@ def parse_matrix(payload: Any) -> List[RunRequest]:
         if not isinstance(cell, dict):
             problems.append(f"cells[{i}] must be an object")
             continue
-        merged = {**defaults, **cell}
-        cell_problems: List[str] = []
-        error = _validate_workload(merged.get("workload"))
-        if error:
-            cell_problems.append(error)
-        error = _validate_config(merged.get("config", "baseline"))
-        if error:
-            cell_problems.append(error)
-        predictor = merged.get("predictor")
-        if predictor is not None:
-            from repro.branch import PREDICTORS
-
-            if predictor not in PREDICTORS:
-                cell_problems.append(f"unknown predictor {predictor!r}")
-        if cell_problems:
-            problems.extend(f"cells[{i}]: {p}" for p in cell_problems)
-            continue
-        requests.append(
-            RunRequest(
-                workload=merged["workload"],
-                config=merged.get("config", "baseline"),
-                core_scale=merged.get("core_scale") or 1,
-                predictor=predictor,
-                warmup=_int_field(merged, "warmup", problems),
-                measure=_int_field(merged, "measure", problems),
-            )
-        )
+        try:
+            requests.append(RunRequest.from_fields({**defaults, **cell}))
+        except CellError as exc:
+            problems.extend(f"cells[{i}]: {p}" for p in exc.problems)
     if problems:
         raise BadRequest(problems)
     return requests
@@ -275,13 +217,20 @@ class Service:
     ) -> "Service":
         store = ExperimentStore(db_path, strict=True)
         store.schema_info()  # fail fast on a broken/newer database
+        started = utcnow()
+        # a local job ran on the previous process's queue thread, which
+        # died with it; distributed jobs resume from their stored leases
+        store.fail_orphaned_jobs(
+            f"interrupted: the server restarted at {started} before this "
+            f"job finished; resubmit it"
+        )
         if artifact_dir is None:
             artifact_dir = os.path.join(str(store.path.parent), "artifacts")
         service = cls(
             store=store,
             queue=JobQueue(store, jobs=jobs),
             artifact_dir=artifact_dir,
-            started=utcnow(),
+            started=started,
         )
         # while the service lives, its store backs every run_matrix call:
         # the lookup chain is memo → disk cache → this database, and every
@@ -355,7 +304,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> Any:
+    def _read_object(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise BadRequest(["request body required (Content-Length missing)"])
@@ -363,9 +312,25 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise BadRequest([f"body larger than {MAX_BODY_BYTES} bytes"])
         raw = self.rfile.read(length)
         try:
-            return json.loads(raw)
+            payload = json.loads(raw)
         except ValueError as exc:
             raise BadRequest([f"body is not valid JSON: {exc}"]) from None
+        if not isinstance(payload, dict):
+            raise BadRequest(["request body must be a JSON object"])
+        return payload
+
+    def _query_number(self, name: str, default: Any, kind: type = int) -> Any:
+        """Query parameter *name* as an ``int`` (or *kind*); malformed: 400."""
+        text = self.query.get(name)
+        if text is None:
+            return default
+        try:
+            return kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise BadRequest(
+                [f"query parameter {name} must be {what}, got {text!r}"]
+            ) from None
 
     def _job_or_404(self, job_id: str):
         job = self.server.service.queue.get(job_id)
@@ -396,7 +361,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         })
 
     def submit_job(self) -> None:
-        payload = self._read_json()
+        payload = self._read_object()
         requests = parse_matrix(payload)
         job = self.server.service.queue.submit(
             requests, backend=parse_backend(payload),
@@ -413,7 +378,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         service = self.server.service
         live = {job.job_id: job.status_dict() for job in service.queue.snapshot()}
         merged = list(live.values())
-        for row in service.store.list_jobs(limit=int(self.query.get("limit", 50))):
+        for row in service.store.list_jobs(limit=self._query_number("limit", 50)):
             if row["job_id"] not in live:
                 merged.append(row)
         self._send_json(200, {"jobs": merged})
@@ -436,7 +401,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(200, {"events": [], "next": 0,
                                       "status": stored["status"]})
             return
-        since = int(self.query.get("since", 0))
+        since = self._query_number("since", 0)
         if self.query.get("follow") not in ("1", "true", "yes"):
             events = job.events_since(since)
             self._send_json(200, {
@@ -445,7 +410,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "status": job.status,
             })
             return
-        deadline = time.monotonic() + float(self.query.get("timeout", 600))
+        deadline = time.monotonic() + self._query_number("timeout", 600, float)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
@@ -515,7 +480,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         rows = self.server.service.store.query_runs(
             workload=self.query.get("workload"),
             config=self.query.get("config"),
-            limit=int(self.query.get("limit", 100)),
+            limit=self._query_number("limit", 100),
         )
         self._send_json(200, {"runs": rows, "count": len(rows)})
 
@@ -529,28 +494,30 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def trace_run(self) -> None:
         from repro.trace.driver import TRACE_FORMATS, run_traced
 
-        payload = self._read_json()
-        if not isinstance(payload, dict):
-            raise BadRequest(["request body must be a JSON object"])
-        problems: List[str] = []
-        error = _validate_workload(payload.get("workload"))
-        if error:
-            problems.append(error)
+        payload = self._read_object()
         config = payload.get("config", "acb")
-        error = _validate_config(config)
-        if error:
-            problems.append(error)
+        pc = payload.get("pc")
+        problems = [
+            problem for problem in (
+                workload_problem(payload.get("workload")),
+                config_problem(config),
+                *(positive_int_problem(name, payload.get(name))
+                  for name in ("warmup", "measure", "scale")),
+            ) if problem is not None
+        ]
         formats = payload.get("formats")
         if formats is not None and (
             not isinstance(formats, list)
             or any(f not in TRACE_FORMATS for f in formats)
         ):
             problems.append(f"formats must be a subset of {list(TRACE_FORMATS)}")
-        warmup = _int_field(payload, "warmup", problems) or 3000
-        measure = _int_field(payload, "measure", problems) or 2000
-        scale = _int_field(payload, "scale", problems) or 1
+        if pc is not None and (isinstance(pc, bool) or not isinstance(pc, int)):
+            problems.append(f"pc must be an integer, got {pc!r}")
         if problems:
             raise BadRequest(problems)
+        warmup = payload.get("warmup") or 3000
+        measure = payload.get("measure") or 2000
+        scale = payload.get("scale") or 1
 
         service = self.server.service
         job_id = new_job_id()
@@ -558,8 +525,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         traced = run_traced(
             payload["workload"], config,
             out_dir=out_dir, formats=formats,
-            warmup=warmup, measure=measure, scale=scale,
-            pc=payload.get("pc"),
+            warmup=warmup, measure=measure, scale=scale, pc=pc,
         )
         service.store.record_job(
             job_id, "done",
@@ -642,15 +608,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def worker_lease(self) -> None:
         """Claim the oldest pending cell; expired leases requeue first."""
-        payload = self._read_json()
-        if not isinstance(payload, dict):
-            raise BadRequest(["request body must be a JSON object"])
+        payload = self._read_object()
         problems: List[str] = []
-        worker = payload.get("worker")
-        if not isinstance(worker, str) or not worker:
-            problems.append(
-                f"worker must be a non-empty string, got {worker!r}"
-            )
+        worker = _string_field(payload, "worker", problems)
         ttl = _float_field(payload, "ttl", problems) or DEFAULT_LEASE_TTL
         if problems:
             raise BadRequest(problems)
@@ -673,15 +633,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         })
 
     def worker_heartbeat(self) -> None:
-        payload = self._read_json()
-        if not isinstance(payload, dict):
-            raise BadRequest(["request body must be a JSON object"])
+        payload = self._read_object()
         problems: List[str] = []
-        lease_id = payload.get("lease_id")
-        if not isinstance(lease_id, str) or not lease_id:
-            problems.append(
-                f"lease_id must be a non-empty string, got {lease_id!r}"
-            )
+        lease_id = _string_field(payload, "lease_id", problems)
         ttl = _float_field(payload, "ttl", problems) or DEFAULT_LEASE_TTL
         if problems:
             raise BadRequest(problems)
@@ -703,15 +657,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """
         from repro.core.stats import SimStats
 
-        payload = self._read_json()
-        if not isinstance(payload, dict):
-            raise BadRequest(["request body must be a JSON object"])
+        payload = self._read_object()
         problems: List[str] = []
-        lease_id = payload.get("lease_id")
-        if not isinstance(lease_id, str) or not lease_id:
-            problems.append(
-                f"lease_id must be a non-empty string, got {lease_id!r}"
-            )
+        lease_id = _string_field(payload, "lease_id", problems)
         wall_time = payload.get("wall_time", 0.0)
         if isinstance(wall_time, bool) or \
                 not isinstance(wall_time, (int, float)) or wall_time < 0:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.harness.parallel import (
+    HIT_SOURCES,
     CellRecord,
     RunRequest,
     last_manifest,
@@ -44,7 +45,7 @@ class JobCell:
     index: int
     request: RunRequest
     run_id: str
-    source: Optional[str] = None   # run | memo | cache | store | dedup
+    source: Optional[str] = None   # "run" or one of HIT_SOURCES
     wall_time: float = 0.0
     #: distributed dispatch only: the worker that acked this cell.
     worker: Optional[str] = None
@@ -98,10 +99,7 @@ class Job:
 
     @property
     def cache_hits(self) -> int:
-        return sum(
-            1 for c in self.cells
-            if c.source in ("memo", "cache", "store", "dedup")
-        )
+        return sum(1 for c in self.cells if c.source in HIT_SOURCES)
 
     @property
     def terminal(self) -> bool:
@@ -175,29 +173,6 @@ class Job:
 
 def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
-
-
-def request_fields(request: RunRequest) -> Dict[str, Any]:
-    """The wire form of a cell: exactly the fields a worker re-runs from."""
-    return {
-        "workload": request.workload_name,
-        "config": request.config,
-        "core_scale": request.core_scale,
-        "predictor": request.predictor,
-        "warmup": request.warmup,
-        "measure": request.measure,
-    }
-
-
-def request_from_fields(fields: Dict[str, Any]) -> RunRequest:
-    return RunRequest(
-        workload=fields["workload"],
-        config=fields.get("config", "baseline"),
-        core_scale=fields.get("core_scale") or 1,
-        predictor=fields.get("predictor"),
-        warmup=fields.get("warmup"),
-        measure=fields.get("measure"),
-    )
 
 
 class JobQueue:
@@ -278,7 +253,7 @@ class JobQueue:
                 {
                     "index": cell.index,
                     "run_id": cell.run_id,
-                    "request": request_fields(cell.request),
+                    "request": cell.request.fields(),
                 }
                 for cell in job.cells
             ],
@@ -311,10 +286,8 @@ class JobQueue:
         job's remaining lease counts.
         """
         job_id = lease["job_id"]
-        request = request_from_fields(lease["request"])
-        key = request.memo_key()
-        if key is not None:
-            self.store.put(key, result, job_id=job_id)
+        request = RunRequest.from_fields(lease["request"])
+        self.store.put(request.memo_key(), result, job_id=job_id)
         job = self.get(job_id)
         if job is not None and 0 <= lease["cell_index"] < len(job.cells):
             cell = job.cells[lease["cell_index"]]

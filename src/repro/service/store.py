@@ -496,6 +496,24 @@ class ExperimentStore:
             ).fetchall()
         return [dict(row) for row in rows]
 
+    def fail_orphaned_jobs(self, error: str) -> None:
+        """Fail the local matrix jobs a previous server left unfinished.
+
+        Nothing resumes a dead process's job queue.  Distributed jobs stay:
+        their leases live here, and the ack of their last cell ends them.
+        """
+        if not self._ensure():
+            return
+        with self._connect() as conn:
+            orphans = [
+                (error, utcnow(), row["job_id"]) for row in conn.execute(
+                    "SELECT job_id, request FROM jobs WHERE kind = 'matrix' "
+                    "AND status IN ('queued', 'running')")
+                if json.loads(row["request"]).get("backend") != "distributed"
+            ]
+            conn.executemany("UPDATE jobs SET status = 'failed', error = ?, "
+                             "finished = ? WHERE job_id = ?", orphans)
+
     # ------------------------------------------------------------------
     # distributed leases (docs/distributed.md)
     # ------------------------------------------------------------------

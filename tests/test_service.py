@@ -73,6 +73,22 @@ def test_parse_matrix_collects_every_problem():
     assert any("warmup" in p for p in problems)
 
 
+@pytest.mark.parametrize("value", ["x", -2, True, 0])
+def test_parse_matrix_checks_core_scale_per_cell_and_default(value):
+    with pytest.raises(BadRequest) as exc:
+        parse_matrix({"cells": [{"workload": "lammps", "core_scale": value}]})
+    assert exc.value.problems == [
+        f"cells[0]: core_scale must be a positive integer, got {value!r}"
+    ]
+    # a bad top-level default is reported once, not once per cell
+    with pytest.raises(BadRequest) as exc:
+        parse_matrix({"workloads": ["lammps", "gcc"], "configs": ["baseline"],
+                      "core_scale": value})
+    assert exc.value.problems == [
+        f"core_scale must be a positive integer, got {value!r}"
+    ]
+
+
 # ----------------------------------------------------------------------
 # the HTTP surface
 # ----------------------------------------------------------------------
@@ -169,6 +185,49 @@ def test_error_statuses(service):
     with pytest.raises(ServiceError) as exc:
         service.request("POST", "/api/v1/health", body={})
     assert exc.value.status == 405
+
+
+@pytest.mark.parametrize("method, path, body", [
+    ("GET", "/api/v1/runs?limit=abc", None),
+    ("GET", "/api/v1/jobs?limit=x", None),
+    ("GET", "/api/v1/jobs/{job_id}/events?since=zz", None),
+    ("GET", "/api/v1/jobs/{job_id}/events?follow=1&timeout=zz", None),
+    ("POST", "/api/v1/trace",
+     {"workload": "lammps", "pc": "abc", "warmup": 300, "measure": 300}),
+])
+def test_malformed_parameters_are_400(service, method, path, body):
+    job = service.submit(workloads=["lammps"], configs=["baseline"],
+                         warmup=WARMUP, measure=MEASURE)
+    with pytest.raises(ServiceError) as exc:
+        service.request(method, path.format(job_id=job["job_id"]), body=body)
+    assert exc.value.status == 400
+    assert len(exc.value.payload["problems"]) == 1
+
+
+def test_restart_fails_orphaned_local_jobs_only(tmp_path):
+    """A restart fails the local jobs the dead process left unfinished;
+    a distributed job keeps its leases and finishes on its last ack."""
+    from repro.harness.distributed import run_worker
+    from repro.service.store import ExperimentStore
+
+    db = str(tmp_path / "exp.sqlite")
+    with background_server(db_path=db, jobs=1) as url:
+        distributed = ServiceClient(url).submit(
+            cells=[{"workload": "lammps", "config": "baseline"}],
+            backend="distributed", warmup=WARMUP, measure=MEASURE,
+        )
+    # what a killed server leaves behind: its queue thread never finished
+    ExperimentStore(db).record_job(
+        "orphan", "running", {"cells": [], "backend": "local"}
+    )
+    with background_server(db_path=db, jobs=1) as url:
+        client = ServiceClient(url)
+        orphan = client.job("orphan")
+        assert orphan["status"] == "failed"
+        assert "restarted" in orphan["error"]
+        assert client.job(distributed["job_id"])["status"] == "running"
+        assert run_worker(url, worker_id="t-w0", max_idle=0) == 1
+        assert client.job(distributed["job_id"])["status"] == "done"
 
 
 def test_results_conflict_while_running(service):
