@@ -29,12 +29,6 @@ Commands
     and export pipeline/decision artifacts: a Konata log, a Chrome
     trace-event JSON (Perfetto), the ACB decision log, and a per-branch
     timeline (see docs/observability.md).
-``bench [--quick] [--compare BASELINE.json] [--profile]``
-    Time the simulator itself on a pinned target matrix (the Figure 6
-    smoke set, a per-scheme sweep, per-stage microbenchmarks) and emit a
-    schema-versioned ``BENCH_<tag>.json``; ``--compare`` prints speedups
-    against an earlier report and exits nonzero past the regression
-    threshold (see docs/performance.md).
 ``serve [--port 8321] [--db FILE]``
     Run the simulation service: an HTTP API that accepts experiment
     matrices as JSON, executes them on a background job queue, and backs
@@ -49,10 +43,9 @@ Commands
     Run one distributed worker: pull leased matrix cells from a service,
     simulate them through the standard runner path, and post the stats
     back (lease → heartbeat → ack; see docs/distributed.md).
-``dashboard [--db FILE] [--out FILE] [--bench-dir DIR]``
-    Render the experiment database (and any ``BENCH_<tag>.json`` reports
-    next to it) into one self-contained HTML file — no external assets,
-    works from ``file://`` (see docs/dashboard.md).
+``dashboard [--db FILE] [--out FILE]``
+    Render the experiment database into one self-contained HTML file — no
+    external assets, works from ``file://`` (see docs/dashboard.md).
 
 Global options
 --------------
@@ -78,6 +71,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 from repro.harness import experiments, format_table, pct
 from repro.harness.cache import ResultCache, set_active_cache
@@ -322,63 +316,6 @@ def _cmd_convert_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import compare_reports, format_compare, run_bench, validate_report
-
-    baseline = None
-    if args.compare:
-        try:
-            with open(args.compare) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.compare}: {exc}", file=sys.stderr)
-            return 2
-        problems = validate_report(baseline)
-        if problems:
-            print(f"baseline {args.compare} is not a valid bench report:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 2
-
-    report = run_bench(
-        quick=args.quick,
-        tag=args.tag,
-        groups=args.groups,
-        profile=args.profile,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr),
-    )
-
-    out_path = args.out or f"BENCH_{args.tag}.json"
-    with open(out_path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    total_wall = sum(r["wall_s"] for r in report["runs"])
-    print(f"{out_path}: {len(report['runs'])} runs, {total_wall:.1f}s total "
-          f"({'quick' if args.quick else 'full'} matrix)")
-    if report["profile"] is not None:
-        top = report["profile"]["functions"][:8]
-        print("hottest simulator functions (tottime):")
-        for row in top:
-            print(f"  {row['tottime_s']:8.3f}s  {row['calls']:>10d}  "
-                  f"{row['function']}")
-
-    if baseline is None:
-        return 0
-    result = compare_reports(baseline, report)
-    print(format_compare(result, baseline_tag=baseline.get("tag", "baseline")))
-    if not result.rows:
-        print("no comparable runs between the two reports", file=sys.stderr)
-        return 2
-    if result.regressed(args.threshold):
-        print(
-            f"REGRESSION: overall {result.overall:.2f}x is past the "
-            f"1/{args.threshold:.2f} threshold", file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.app import ROUTES, Service, make_server
     from repro.service.store import StoreSchemaError
@@ -466,6 +403,22 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_store(command: str, db: Optional[str]):
+    """The experiment store at *db* for a read-only command, or ``None``.
+
+    Opening a store creates it, so a mistyped path would otherwise leave a
+    fresh empty database behind and report nothing stored.
+    """
+    from repro.service.store import ExperimentStore
+
+    store = ExperimentStore(db, strict=True)
+    if not store.path.is_file():
+        print(f"{command}: no experiment database at {store.path.resolve()}",
+              file=sys.stderr)
+        return None
+    return store
+
+
 def _cmd_runs(args: argparse.Namespace) -> int:
     if args.url is not None:
         from repro.service.client import ServiceClient, ServiceError
@@ -478,9 +431,11 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(f"runs: {exc}", file=sys.stderr)
             return 2
     else:
-        from repro.service.store import ExperimentStore, StoreSchemaError
+        from repro.service.store import StoreSchemaError
 
-        store = ExperimentStore(args.db, strict=True)
+        store = _existing_store("runs", args.db)
+        if store is None:
+            return 2
         try:
             rows = store.query_runs(
                 workload=args.workload, config=args.config, limit=args.limit
@@ -534,21 +489,23 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.dashboard import generate
+    from repro.service.store import StoreSchemaError
 
+    store = _existing_store("dashboard", args.db)
+    if store is None:
+        return 2
     try:
         report = generate(
-            db_path=args.db,
+            db_path=str(store.path),
             out_path=args.out,
-            bench_dir=args.bench_dir,
             limit=args.limit,
             title=args.title,
         )
-    except OSError as exc:
+    except (OSError, StoreSchemaError) as exc:
         print(f"dashboard: {exc}", file=sys.stderr)
         return 2
     print(f"{report.out_path}: {report.size_bytes} bytes — "
-          f"{report.runs} stored runs, {report.jobs} jobs, "
-          f"{report.bench_reports} bench report(s)")
+          f"{report.runs} stored runs, {report.jobs} jobs")
     print("self-contained HTML; open it directly in a browser")
     return 0
 
@@ -681,27 +638,6 @@ def main(argv=None) -> int:
                        help="characterize without writing a converted trace")
     p_cvt.set_defaults(func=_cmd_convert_trace)
 
-    p_bench = sub.add_parser(
-        "bench", help="time the simulator on the pinned target matrix"
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI-sized matrix: fewer workloads, small windows")
-    p_bench.add_argument("--tag", default="local",
-                         help="report label; default output is BENCH_<tag>.json")
-    p_bench.add_argument("--out", default=None, metavar="FILE",
-                         help="report path (default: BENCH_<tag>.json)")
-    p_bench.add_argument("--groups", nargs="*", metavar="GROUP",
-                         help="subset of target groups "
-                              "(fig6, scheme, trace, frontier, matrix, micro)")
-    p_bench.add_argument("--compare", default=None, metavar="BASELINE",
-                         help="earlier BENCH_*.json to compare against")
-    p_bench.add_argument("--threshold", type=float, default=1.5,
-                         help="--compare fails past this overall slowdown "
-                              "factor (default 1.5)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="attach a cProfile per-function breakdown")
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_srv = sub.add_parser(
         "serve", help="run the simulation service (HTTP API + job queue)"
     )
@@ -785,9 +721,6 @@ def main(argv=None) -> int:
                              "(default .repro_store/experiments.sqlite)")
     p_dash.add_argument("--out", default="repro_dashboard.html",
                         metavar="FILE", help="output HTML path")
-    p_dash.add_argument("--bench-dir", default=".", metavar="DIR",
-                        help="directory scanned for BENCH_<tag>.json "
-                             "trajectory reports (default: cwd)")
     p_dash.add_argument("--limit", type=int, default=500,
                         help="most recent stored runs to include (default 500)")
     p_dash.add_argument("--title", default=None,

@@ -1,9 +1,8 @@
 """Self-contained results dashboard (``repro dashboard``).
 
 Renders the SQLite experiment store — runs, jobs, distributed lease
-progress, per-branch timelines from trace artifacts, and the
-``BENCH_<tag>.json`` throughput trajectory — into one HTML file with no
-external assets (see docs/dashboard.md).
+progress and per-branch timelines from trace artifacts — into one HTML
+file with no external assets (see docs/dashboard.md).
 """
 
 from __future__ import annotations
@@ -33,19 +32,16 @@ class DashboardReport:
     size_bytes: int
     runs: int
     jobs: int
-    bench_reports: int
 
 
 def generate(
     db_path: Optional[str] = None,
     out_path: str = "repro_dashboard.html",
-    bench_dir: str = ".",
     limit: int = 500,
     title: Optional[str] = None,
 ) -> DashboardReport:
     """Collect, render, and write the dashboard; returns a summary."""
-    data = collect(db_path=db_path, bench_dir=bench_dir, limit=limit,
-                   title=title)
+    data = collect(db_path=db_path, limit=limit, title=title)
     document = render_dashboard(data)
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(document)
@@ -54,5 +50,4 @@ def generate(
         size_bytes=os.path.getsize(out_path),
         runs=len(data.runs),
         jobs=len(data.jobs),
-        bench_reports=data.bench_reports,
     )

@@ -1,17 +1,15 @@
 """Collect everything the dashboard renders, as plain data.
 
-One pass over the experiment database (and the ``BENCH_<tag>.json``
-reports next to it) produces a :class:`DashboardData` — the renderer in
-:mod:`repro.dashboard.render` is a pure function of this object, which is
-what the structural tests assert against.  The store is opened in
-tolerant mode: a missing or corrupt database renders an empty dashboard
-instead of failing.
+One pass over the experiment database produces a :class:`DashboardData`
+— the renderer in :mod:`repro.dashboard.render` is a pure function of
+this object, which is what the structural tests assert against.  The
+store is opened strictly: a fresh path renders an empty dashboard, a
+corrupt or newer-schema database raises
+:class:`~repro.service.store.StoreSchemaError`.
 """
 
 from __future__ import annotations
 
-import glob
-import json
 import math
 import os
 import re
@@ -46,10 +44,6 @@ class DashboardData:
     branches: List[Dict[str, Any]] = field(default_factory=list)
     #: parsed per-branch timeline artifacts (repro trace --formats timeline)
     timelines: List[Dict[str, Any]] = field(default_factory=list)
-    #: bench trajectory: group -> [{tag, created, cycles_per_s}] in
-    #: report-creation order (the sparkline series)
-    bench: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
-    bench_reports: int = 0
 
 
 def geomean(values: List[float]) -> float:
@@ -205,47 +199,15 @@ def _timelines(store) -> List[Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# bench trajectory (BENCH_<tag>.json files)
-# ----------------------------------------------------------------------
-def _bench_series(bench_dir: str) -> tuple:
-    reports = []
-    for path in sorted(glob.glob(os.path.join(bench_dir, "BENCH_*.json"))):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                report = json.load(handle)
-        except (OSError, ValueError):
-            continue
-        if not isinstance(report, dict) or "runs" not in report:
-            continue
-        reports.append(report)
-    reports.sort(key=lambda r: str(r.get("created", "")))
-    series: Dict[str, List[Dict[str, Any]]] = {}
-    for report in reports:
-        by_group: Dict[str, List[float]] = {}
-        for run in report.get("runs", []):
-            rate = run.get("cycles_per_s", 0) or 0
-            if rate > 0:
-                by_group.setdefault(str(run.get("group", "?")), []).append(rate)
-        for group, rates in by_group.items():
-            series.setdefault(group, []).append({
-                "tag": str(report.get("tag", "?")),
-                "created": str(report.get("created", "")),
-                "cycles_per_s": geomean(rates),
-            })
-    return series, len(reports)
-
-
-# ----------------------------------------------------------------------
 def collect(
     db_path: Optional[str] = None,
-    bench_dir: str = ".",
     limit: int = 500,
     title: Optional[str] = None,
 ) -> DashboardData:
-    """Read the store and bench reports into one :class:`DashboardData`."""
+    """Read the store into one :class:`DashboardData`."""
     from repro.service.store import ExperimentStore
 
-    store = ExperimentStore(db_path, strict=False)
+    store = ExperimentStore(db_path, strict=True)
     data = DashboardData(
         title=title or "repro dashboard — ACB (ISCA 2020) reproduction",
         db_path=str(store.path),
@@ -258,5 +220,4 @@ def collect(
     data.speedups = _speedups(data.runs)
     data.branches = _branches(data.runs)
     data.timelines = _timelines(store)
-    data.bench, data.bench_reports = _bench_series(bench_dir)
     return data

@@ -7,8 +7,8 @@ it literally — the output must not contain the substring ``"htt"+"p"``
 anywhere, which rules out external stylesheets, fonts, CDNs, and
 trackers by construction.
 
-Charts are inline SVG: speedup bars per scheme, bench-trajectory
-sparklines, and per-branch occurrence strips colored by outcome.  Colors
+Charts are inline SVG: speedup bars per scheme and per-branch occurrence
+strips colored by outcome.  Colors
 follow the chart's job — one categorical blue for magnitude bars, status
 colors only for branch outcomes (mispredict/divergence are *states*, not
 series) — with an automatic dark mode via CSS custom properties.
@@ -17,7 +17,7 @@ series) — with an automatic dark mode via CSS custom properties.
 from __future__ import annotations
 
 import html
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.dashboard.data import DashboardData
 
@@ -85,7 +85,6 @@ tr:last-child td { border-bottom: none; }
 svg { display: block; }
 .bar { fill: var(--s1); }
 .axis { stroke: var(--axis); stroke-width: 1; }
-.spark { stroke: var(--s1); stroke-width: 2; fill: none; }
 .legend {
   display: flex; gap: 16px; color: var(--ink2); font-size: 12px;
   margin: 6px 0; flex-wrap: wrap;
@@ -319,52 +318,6 @@ def _timeline_section(data: DashboardData) -> str:
     )
 
 
-def _sparkline(points: List[Dict[str, Any]]) -> str:
-    width, height = 220, 36
-    rates = [p["cycles_per_s"] for p in points]
-    lo, hi = min(rates), max(rates)
-    span = (hi - lo) or 1.0
-    coords = []
-    for i, rate in enumerate(rates):
-        x = 6 + (width - 12) * (i / max(len(rates) - 1, 1))
-        y = height - 6 - (height - 14) * ((rate - lo) / span)
-        coords.append(f"{x:.1f},{y:.1f}")
-    last_x, last_y = coords[-1].split(",")
-    return (
-        f'<svg width="{width}" height="{height}" role="img" '
-        f'aria-label="{rates[-1]:.0f} cycles per second">'
-        f'<line class="axis" x1="0" y1="{height - 0.5}" x2="{width}" '
-        f'y2="{height - 0.5}"></line>'
-        f'<polyline class="spark" points="{" ".join(coords)}"></polyline>'
-        f'<circle cx="{last_x}" cy="{last_y}" r="3" fill="var(--s1)">'
-        f"</circle></svg>"
-    )
-
-
-def _bench_section(data: DashboardData) -> str:
-    if not data.bench:
-        return ""
-    rows = []
-    for group in sorted(data.bench):
-        points = data.bench[group]
-        tags = " → ".join(_esc(p["tag"]) for p in points[-5:])
-        rows.append(
-            f"<tr><td>{_esc(group)}</td>"
-            f'<td class="num">{points[-1]["cycles_per_s"]:,.0f}</td>'
-            f"<td>{_sparkline(points)}</td>"
-            f'<td class="sub">{tags}</td></tr>'
-        )
-    return (
-        "<h2>Simulator throughput trajectory</h2>"
-        f'<p class="sub">Geomean simulated cycles per second across '
-        f"{data.bench_reports} BENCH report(s), per target group "
-        "(docs/performance.md).</p>"
-        "<table><thead><tr><th>group</th><th>latest cyc/s</th>"
-        "<th>trend</th><th>reports</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
 def _runs_section(data: DashboardData) -> str:
     if not data.runs:
         return ('<h2>Runs</h2><p class="empty">The experiment store is '
@@ -401,7 +354,6 @@ def render_dashboard(data: DashboardData) -> str:
         _jobs_section(data),
         _branch_section(data),
         _timeline_section(data),
-        _bench_section(data),
         _runs_section(data),
     ]
     schema = data.schema or {}

@@ -326,9 +326,8 @@ def prepare_run(
 
     The single source of truth for how a named configuration turns into
     :class:`~repro.core.Core` constructor arguments — shared by the driver
-    below, the bench (:mod:`repro.bench.runner`) and the trace exporter
-    (:mod:`repro.trace.driver`), so all three build the same core for the
-    same cell.
+    below and the trace exporter (:mod:`repro.trace.driver`), so both
+    build the same core for the same cell.
     """
     scheme_name, cfg_predictor = split_config(config)
     if cfg_predictor is not None:

@@ -42,3 +42,23 @@ class TestCli:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "quake3"])
+
+
+@pytest.mark.parametrize("command", ["runs", "dashboard"])
+@pytest.mark.parametrize("state", ["missing", "corrupt"])
+def test_read_only_db_commands_refuse_bad_database(
+    command, state, tmp_path, capsys
+):
+    db = tmp_path / "other" / "typo.sqlite"
+    if state == "corrupt":
+        db.parent.mkdir()
+        db.write_bytes(b"not a database")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [command, "--db", str(db)]
+    if command == "dashboard":
+        argv += ["--out", str(tmp_path / "dash.html")]
+    assert main(argv) == 2
+    # nothing created: no directory, no empty database, no HTML page
+    assert sorted(tmp_path.rglob("*")) == before
+    if state == "missing":
+        assert str(db.resolve()) in capsys.readouterr().err

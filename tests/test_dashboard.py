@@ -13,8 +13,6 @@ The contract under test (docs/dashboard.md):
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.dashboard import collect, generate, parse_timeline, render_dashboard
@@ -30,7 +28,7 @@ WARMUP, MEASURE = 1500, 1700
 
 @pytest.fixture
 def populated_store(tmp_path):
-    """A store holding a small real matrix, plus two bench reports."""
+    """A store holding a small real matrix."""
     db = tmp_path / "exp.sqlite"
     store = ExperimentStore(str(db))
     previous = set_active_store(store)
@@ -43,23 +41,12 @@ def populated_store(tmp_path):
     finally:
         clear_memo()
         set_active_store(previous)
-    for tag, factor in (("old", 1.0), ("new", 1.25)):
-        report = {
-            "schema": "repro-bench", "schema_version": 1, "tag": tag,
-            "created": f"2026-08-0{1 if tag == 'old' else 2}T00:00:00Z",
-            "runs": [
-                {"group": "fig6", "cycles_per_s": 50000.0 * factor},
-                {"group": "micro", "cycles_per_s": 90000.0 * factor},
-            ],
-        }
-        with open(tmp_path / f"BENCH_{tag}.json", "w") as handle:
-            json.dump(report, handle)
-    return store, tmp_path
+    return store
 
 
 def test_collect_speedups_and_branches(populated_store):
-    store, tmp_path = populated_store
-    data = collect(db_path=str(store.path), bench_dir=str(tmp_path))
+    store = populated_store
+    data = collect(db_path=str(store.path))
     assert len(data.runs) == 4
     assert [s["config"] for s in data.speedups] == ["acb"]
     assert data.speedups[0]["count"] == 2  # mcf and gcc both have baselines
@@ -68,16 +55,13 @@ def test_collect_speedups_and_branches(populated_store):
         geomean([r["speedup"] for r in acb["per_workload"]])
     )
     assert data.branches  # per_branch stats surfaced
-    assert data.bench_reports == 2
-    assert [p["tag"] for p in data.bench["fig6"]] == ["old", "new"]
 
 
 def test_dashboard_html_structure(populated_store, tmp_path):
-    store, bench_dir = populated_store
+    store = populated_store
     out = tmp_path / "dash.html"
-    report = generate(db_path=str(store.path), out_path=str(out),
-                      bench_dir=str(bench_dir))
-    assert report.runs == 4 and report.bench_reports == 2
+    report = generate(db_path=str(store.path), out_path=str(out))
+    assert report.runs == 4
 
     document = out.read_text(encoding="utf-8")
     # self-containment: no external URL anywhere, ever
@@ -95,7 +79,7 @@ def test_dashboard_html_structure(populated_store, tmp_path):
 def test_dashboard_empty_store_renders(tmp_path):
     out = tmp_path / "empty.html"
     report = generate(db_path=str(tmp_path / "none.sqlite"),
-                      out_path=str(out), bench_dir=str(tmp_path))
+                      out_path=str(out))
     assert report.runs == 0
     document = out.read_text(encoding="utf-8")
     assert ("htt" + "p") not in document
@@ -134,7 +118,7 @@ def test_parse_timeline_roundtrip():
 
 
 def test_timeline_artifact_reaches_the_page(populated_store, tmp_path):
-    store, bench_dir = populated_store
+    store = populated_store
     timeline = tmp_path / "timeline.txt"
     timeline.write_text("\n".join([
         "# per-branch timeline — window summary",
@@ -147,7 +131,7 @@ def test_timeline_artifact_reaches_the_page(populated_store, tmp_path):
     store.add_artifact("job-tl", "mcf-acb.timeline", "timeline",
                        str(timeline))
 
-    data = collect(db_path=str(store.path), bench_dir=str(bench_dir))
+    data = collect(db_path=str(store.path))
     assert [t["job_id"] for t in data.timelines] == ["job-tl"]
     assert data.timelines[0]["branches"][0]["pc"] == 640
     document = render_dashboard(data)
@@ -158,10 +142,9 @@ def test_timeline_artifact_reaches_the_page(populated_store, tmp_path):
 def test_dashboard_cli(populated_store, tmp_path, capsys):
     from repro.__main__ import main
 
-    store, bench_dir = populated_store
+    store = populated_store
     out = tmp_path / "cli.html"
-    code = main(["dashboard", "--db", str(store.path), "--out", str(out),
-                 "--bench-dir", str(bench_dir)])
+    code = main(["dashboard", "--db", str(store.path), "--out", str(out)])
     assert code == 0
     assert out.exists()
     captured = capsys.readouterr()
