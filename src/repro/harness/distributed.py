@@ -301,11 +301,6 @@ def dispatch_cells(
                     proc.wait(timeout=10)
                 except subprocess.TimeoutExpired:
                     proc.kill()
-        manifest = client.manifest(job["job_id"])
-        workers_by_index = {
-            cell["index"]: cell.get("worker")
-            for cell in manifest.get("cells", [])
-        }
         for entry in payload:
             i = ids[entry["index"]]
             outcomes[i] = {
@@ -317,7 +312,7 @@ def dispatch_cells(
                     stats=SimStats.from_dict(entry["stats"]),
                 ),
                 "wall_time": entry.get("wall_time", 0.0),
-                "worker": workers_by_index.get(entry["index"], ""),
+                "worker": entry.get("worker", ""),
             }
     missing = [i for i in ids if i not in outcomes]
     if missing:

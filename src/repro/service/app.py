@@ -37,7 +37,7 @@ from repro.harness.runner import (
     config_problem,
     workload_problem,
 )
-from repro.service.jobs import JobQueue, new_job_id
+from repro.service.jobs import JOB_STATES, JobQueue, new_job_id
 from repro.service.store import (
     DEFAULT_LEASE_TTL,
     STORE_SCHEMA_VERSION,
@@ -356,7 +356,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             "runs": service.store.count_runs(),
             "jobs": {
                 state: sum(1 for j in jobs if j.status == state)
-                for state in ("queued", "running", "done", "failed")
+                for state in JOB_STATES
             },
         })
 
@@ -395,15 +395,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def job_events(self, job_id: str) -> None:
         """Progress events after ``?since=N``; ``?follow=1`` streams NDJSON
         until the job reaches a terminal state (or ``?timeout=`` seconds)."""
+        follow = self.query.get("follow") in ("1", "true", "yes")
         job, stored = self._job_or_404(job_id)
-        if job is None:
+        if job is None and (stored is None or not follow):
             if stored is not None:  # pre-restart job: no event history
                 self._send_json(200, {"events": [], "next": 0,
                                       "status": stored["status"]})
             return
         since = self._query_number("since", 0)
-        if self.query.get("follow") not in ("1", "true", "yes"):
-            events = job.events_since(since)
+        if not follow:
+            events, _ = job.wait_events(since)
             self._send_json(200, {
                 "events": events,
                 "next": events[-1]["seq"] if events else since,
@@ -415,18 +416,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
         cursor = since
-        while True:
-            # read terminal *before* draining: the queue appends the
-            # terminal event in the same step that flips the status, so a
-            # drain after seeing terminal always includes it
-            terminal = job.terminal
-            for event in job.events_since(cursor):
+        while job is not None:  # a pre-restart job's stream is empty
+            # the terminal flag is read with the events it covers, so a
+            # terminal job's stream always ends with its terminal event
+            events, terminal = job.wait_events(
+                cursor, deadline - time.monotonic()
+            )
+            for event in events:
                 cursor = event["seq"]
                 self.wfile.write((json.dumps(event) + "\n").encode())
             self.wfile.flush()
-            if terminal or time.monotonic() > deadline:
+            if terminal or time.monotonic() >= deadline:
                 return
-            time.sleep(0.05)
 
     def job_results(self, job_id: str) -> None:
         job, stored = self._job_or_404(job_id)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -67,9 +66,14 @@ class ServiceClient:
             url, data=data, method=method,
             headers={"Content-Type": "application/json"} if data else {},
         )
+        with self._open(request, self.timeout) as resp:
+            raw = resp.read()
+        return json.loads(raw) if raw else None
+
+    def _open(self, request: Any, timeout: float):
+        """``urlopen`` with failures raised as :class:`ServiceError`."""
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                raw = resp.read()
+            return urllib.request.urlopen(request, timeout=timeout)
         except urllib.error.HTTPError as exc:
             raw = exc.read()
             try:
@@ -81,7 +85,6 @@ class ServiceClient:
             raise ServiceError(
                 0, f"cannot reach {self.url}: {exc.reason}"
             ) from None
-        return json.loads(raw) if raw else None
 
     # ------------------------------------------------------------------
     def health(self) -> Dict:
@@ -134,34 +137,33 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float = 600.0,
-        poll: float = 0.2,
         on_event: Optional[Callable[[Dict], None]] = None,
     ) -> Dict:
-        """Poll until the job is terminal; returns its final status dict.
+        """Block until the job is terminal; returns its final status dict.
 
-        *on_event* receives each new progress event as it is observed.
+        Follows the job's ``?follow=1`` event stream, which the server
+        ends when the job is terminal or *timeout* seconds have passed,
+        passing each event to *on_event*; then reads the job's status
+        once.  The stream's socket timeout is *timeout* plus the client's
+        request timeout, since a long cell may send no event for a while.
         Raises :class:`ServiceError` on job failure or timeout.
         """
-        deadline = time.monotonic() + timeout
-        cursor = 0
-        while True:
-            if on_event is not None:
-                feed = self.events(job_id, since=cursor)
-                for event in feed["events"]:
-                    cursor = event["seq"]
-                    on_event(event)
-            status = self.job(job_id)
-            if status["status"] == "failed":
-                raise ServiceError(500, {"error": status.get("error")
-                                         or "job failed"})
-            if status["status"] == "done":
-                return status
-            if time.monotonic() > deadline:
-                raise ServiceError(
-                    0, f"job {job_id} still {status['status']} "
-                    f"after {timeout:.0f}s"
-                )
-            time.sleep(poll)
+        query = urllib.parse.urlencode({"follow": 1, "timeout": timeout})
+        url = f"{self.url}/api/v1/jobs/{job_id}/events?{query}"
+        with self._open(url, timeout + self.timeout) as stream:
+            for line in stream:
+                if on_event is not None:
+                    on_event(json.loads(line))
+        status = self.job(job_id)
+        if status["status"] == "failed":
+            raise ServiceError(500, {"error": status.get("error")
+                                     or "job failed"})
+        if status["status"] != "done":
+            raise ServiceError(
+                0, f"job {job_id} still {status['status']} "
+                f"after {timeout:.0f}s"
+            )
+        return status
 
     def runs(
         self,
@@ -229,9 +231,5 @@ class ServiceClient:
 
     def artifact(self, artifact_id: int) -> bytes:
         url = f"{self.url}/api/v1/artifacts/{artifact_id}"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(exc.code, exc.read().decode(errors="replace")
-                               ) from None
+        with self._open(url, self.timeout) as resp:
+            return resp.read()

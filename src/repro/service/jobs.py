@@ -21,7 +21,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.harness.parallel import (
     HIT_SOURCES,
@@ -83,7 +83,13 @@ class Job:
     finished: Optional[str] = None
     wall_time: float = 0.0
     events: List[Dict[str, Any]] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: held for every status change and event append, and notified on
+    #: each append, so a waiter in :meth:`wait_events` wakes on every one
+    _lock: threading.Condition = field(
+        default_factory=threading.Condition, repr=False
+    )
+    #: ``time.monotonic()`` at :meth:`start`; ``wall_time`` counts from it
+    _started_at: Optional[float] = field(default=None, repr=False)
 
     @property
     def total(self) -> int:
@@ -111,20 +117,29 @@ class Job:
 
     def _append(self, event: str, payload: Dict[str, Any]) -> None:
         self.events.append({"seq": len(self.events) + 1, "event": event, **payload})
+        self._lock.notify_all()
 
-    def finish(self, status: str, wall_time: float = 0.0,
-               error: Optional[str] = None) -> bool:
+    def start(self, **payload: Any) -> None:
+        """queued → running, with its ``running`` event (*payload* added)."""
+        with self._lock:
+            self.status = "running"
+            self.started = utcnow()
+            self._started_at = time.monotonic()
+            self._append("running", {"total": self.total, **payload})
+
+    def finish(self, status: str, error: Optional[str] = None) -> bool:
         """Reach terminal *status* ("done" | "failed") and append its event.
 
-        Both happen under one lock, so a ``?follow=1`` stream that reads
-        :attr:`terminal` before draining always gets the terminal event.
-        Returns ``False``, changing nothing, when the job had already
-        finished (two acks racing on the last distributed cell).
+        Both happen in one hold of the job's lock, so a waiter never sees
+        the status terminal without the terminal event.  ``wall_time`` is
+        the time since :meth:`start`.  Returns ``False``, changing nothing,
+        when the job had already finished (two acks racing on the last
+        distributed cell).
         """
         with self._lock:
             if self.terminal:
                 return False
-            self.wall_time = wall_time
+            self.wall_time = time.monotonic() - self._started_at
             self.error = error
             self.finished = utcnow()
             self.status = status
@@ -135,14 +150,26 @@ class Job:
                     "total": self.total,
                     "simulated": self.simulated,
                     "cache_hits": self.cache_hits,
-                    "wall_time": round(wall_time, 4),
+                    "wall_time": round(self.wall_time, 4),
                 }
             self._append(status, payload)
         return True
 
-    def events_since(self, since: int = 0) -> List[Dict[str, Any]]:
+    def wait_events(
+        self, since: int, timeout: float = 0.0
+    ) -> Tuple[List[Dict[str, Any]], bool]:
+        """Block up to *timeout* seconds for an event after seq *since*.
+
+        Returns the events after *since* (possibly none, on timeout) and
+        whether the job is terminal, both read in one hold of the lock:
+        when the flag is ``True`` the terminal event is in the list or
+        was before *since*.  With no *timeout* it does not block.
+        """
         with self._lock:
-            return [e for e in self.events if e["seq"] > since]
+            self._lock.wait_for(
+                lambda: len(self.events) > since or self.terminal, timeout
+            )
+            return [e for e in self.events if e["seq"] > since], self.terminal
 
     def status_dict(self) -> Dict[str, Any]:
         return {
@@ -190,8 +217,6 @@ class JobQueue:
         self._jobs: Dict[str, Job] = {}
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.Lock()
-        #: distributed jobs: job_id -> monotonic submit time (wall clock)
-        self._started_at: Dict[str, float] = {}
         self._worker = threading.Thread(
             target=self._work, name="repro-job-queue", daemon=True
         )
@@ -229,24 +254,15 @@ class JobQueue:
         job.add_event("queued", total=job.total)
         with self._lock:
             self._jobs[job.job_id] = job
-        if backend == "distributed":
-            return self._submit_distributed(job)
         self.store.record_job(
             job.job_id, "queued", job.request, submitted=job.submitted
         )
-        self._queue.put(job)
-        return job
-
-    def _submit_distributed(self, job: Job) -> Job:
-        """Distributed path: cells become leasable rows, job runs at once."""
-        job.status = "running"
-        job.started = utcnow()
-        self._started_at[job.job_id] = time.monotonic()
-        job.add_event("running", total=job.total, backend="distributed")
-        self.store.record_job(
-            job.job_id, "running", job.request, submitted=job.submitted
-        )
-        self.store.update_job(job.job_id, started=job.started)
+        if backend != "distributed":
+            self._queue.put(job)
+            return job
+        # distributed: the cells become leasable rows; the job runs at once
+        job.start(backend="distributed")
+        self.store.update_job(job.job_id, status="running", started=job.started)
         self.store.enqueue_cells(
             job.job_id,
             [
@@ -303,17 +319,20 @@ class JobQueue:
             self._finalize_distributed(job_id, job)
         return counts
 
+    def _finish(self, job: Job, status: str,
+                error: Optional[str] = None) -> None:
+        """End *job* and record the outcome; a second finish is a no-op
+        (two acks racing on the last distributed cell)."""
+        if job.finish(status, error=error):
+            self.store.update_job(
+                job.job_id, status=status, finished=job.finished,
+                error=job.error,
+                manifest=job.manifest_dict() if status == "done" else None,
+            )
+
     def _finalize_distributed(self, job_id: str, job: Optional[Job]) -> None:
         if job is not None:
-            started = self._started_at.get(job_id)
-            wall_time = time.monotonic() - started if started is not None else 0.0
-            if not job.finish("done", wall_time=wall_time):
-                return  # two acks raced on the last cell; idempotent
-            self._started_at.pop(job_id, None)
-            self.store.update_job(
-                job.job_id, status="done", finished=job.finished,
-                manifest=job.manifest_dict(),
-            )
+            self._finish(job, "done")
             return
         # post-restart: the in-memory job is gone, finish from store rows
         stored = self.store.get_job(job_id)
@@ -345,16 +364,6 @@ class JobQueue:
         with self._lock:
             return list(self._jobs.values())
 
-    def wait(self, job_id: str, timeout: float = 300.0) -> Optional[Job]:
-        """Block until *job_id* reaches a terminal state (tests, CLI)."""
-        deadline = time.monotonic() + timeout
-        job = self.get(job_id)
-        while job is not None and not job.terminal:
-            if time.monotonic() > deadline:
-                return job
-            time.sleep(0.02)
-        return job
-
     def close(self) -> None:
         """Finish the in-flight job, then stop the worker thread."""
         self._queue.put(None)
@@ -369,19 +378,12 @@ class JobQueue:
             try:
                 self._execute(job)
             except Exception as exc:  # a failed job must not kill the queue
-                if not job.finish("failed", error=f"{type(exc).__name__}: {exc}"):
-                    continue
-                self.store.update_job(
-                    job.job_id, status="failed", error=job.error,
-                    finished=job.finished,
-                )
+                self._finish(job, "failed",
+                             error=f"{type(exc).__name__}: {exc}")
 
     def _execute(self, job: Job) -> None:
-        job.status = "running"
-        job.started = utcnow()
-        job.add_event("running", total=job.total)
+        job.start()
         self.store.update_job(job.job_id, status="running", started=job.started)
-        started = time.monotonic()
         # progress granularity: one pool-width of cells per run_matrix call
         chunk = max(1, self.jobs or 1)
         # a local job must never recurse into distributed dispatch, even
@@ -413,8 +415,4 @@ class JobQueue:
                     total=job.total,
                     **cell.summary(),
                 )
-        job.finish("done", wall_time=time.monotonic() - started)
-        self.store.update_job(
-            job.job_id, status="done", finished=job.finished,
-            manifest=job.manifest_dict(),
-        )
+        self._finish(job, "done")

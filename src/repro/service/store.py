@@ -667,13 +667,15 @@ class ExperimentStore:
                     "WHERE lease_id = ? AND state = 'leased'",
                     (lease_id,),
                 ).fetchone()
-                if row is None:
-                    return None
-                conn.execute(
+                # the SELECT holds no lock: a requeue or a second ack may
+                # commit before this guarded UPDATE, which then matches
+                # no row and the ack is stale after all
+                if row is None or not conn.execute(
                     "UPDATE leases SET state = 'done', wall_time = ?, "
                     "updated = ? WHERE lease_id = ? AND state = 'leased'",
                     (wall_time, utcnow(), lease_id),
-                )
+                ).rowcount:
+                    return None
         except (sqlite3.Error, OSError) as exc:
             self._degrade("lease ack", exc)
             return None

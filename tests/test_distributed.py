@@ -104,6 +104,40 @@ def test_expired_lease_requeues_and_stale_ack_rejected(tmp_path):
     assert store.ack_lease(survivor["lease_id"]) is not None
 
 
+def test_ack_racing_a_requeue_is_stale(tmp_path, monkeypatch):
+    """A requeue committed between the ack's SELECT and its UPDATE wins:
+    the ack reports the lease stale, and the cell stays pending."""
+    path = str(tmp_path / "exp.sqlite")
+    store = ExperimentStore(path)
+    other = ExperimentStore(path)
+    store.enqueue_cells("job-1", _cells([("mcf", "acb")]))
+    lease = store.lease_next("slow", ttl=30.0)
+    connect = store._connect
+    requeued = []
+
+    class RequeueBeforeUpdate:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def __enter__(self):
+            self.conn.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.conn.__exit__(*exc)
+
+        def execute(self, sql, *params):
+            if sql.startswith("UPDATE leases SET state = 'done'"):
+                requeued.extend(other.requeue_expired(now=time.time() + 60))
+            return self.conn.execute(sql, *params)
+
+    monkeypatch.setattr(store, "_connect",
+                        lambda: RequeueBeforeUpdate(connect()))
+    assert store.ack_lease(lease["lease_id"]) is None
+    assert [row["worker"] for row in requeued] == ["slow"]
+    assert [row["state"] for row in other.list_leases("job-1")] == ["pending"]
+
+
 def test_v1_store_migrates_to_v2_in_place(tmp_path):
     import sqlite3
 

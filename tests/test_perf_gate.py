@@ -1,7 +1,8 @@
 """The CI performance gate's verdict (tools/perf_gate.py).
 
-Only the pure verdict is tested here; the gate's runs take minutes and
-belong to CI's ``perf-gate`` job.
+Only the pure verdict and the order of runs are tested here, the latter
+with the runs and the worktree commands stubbed out; the gate's real runs
+take minutes and belong to CI's ``perf-gate`` job.
 """
 
 from __future__ import annotations
@@ -51,3 +52,27 @@ def test_verdict(change, passes):
     problems = perf_gate.verdict(parent, [change] * perf_gate.PAIRS,
                                  END_TO_END)
     assert (problems == []) is passes, problems
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch):
+    """Each side leads equally often, so a drift over the gate's minutes
+    weighs on both sides alike."""
+    order = []
+
+    def run_bench(checkout):
+        order.append("change" if checkout == perf_gate.ROOT else "parent")
+        return result()
+
+    class Done:
+        returncode = 0
+
+    monkeypatch.setattr(perf_gate, "run_bench", run_bench)
+    monkeypatch.setattr(perf_gate.subprocess, "run",
+                        lambda *args, **kwargs: Done())
+    assert perf_gate.main(["parent-ref"]) == 0
+    firsts = order[::2]
+    assert len(order) == 2 * perf_gate.PAIRS
+    assert all({a, b} == {"parent", "change"}
+               for a, b in zip(order[::2], order[1::2]))
+    assert firsts.count("parent") == firsts.count("change")
+    assert firsts == ["parent", "change"] * (perf_gate.PAIRS // 2)

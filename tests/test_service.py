@@ -16,6 +16,7 @@ port); only its lifetime is managed in-process.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -204,10 +205,11 @@ def test_malformed_parameters_are_400(service, method, path, body):
     assert len(exc.value.payload["problems"]) == 1
 
 
-def test_restart_fails_orphaned_local_jobs_only(tmp_path):
-    """A restart fails the local jobs the dead process left unfinished;
-    a distributed job keeps its leases and finishes on its last ack."""
-    from repro.harness.distributed import run_worker
+@contextlib.contextmanager
+def _restarted(tmp_path):
+    """A server restarted over a database that holds a pending distributed
+    job and a local job a killed server left ``running`` (``orphan``).
+    Yields the new server's client and the distributed job."""
     from repro.service.store import ExperimentStore
 
     db = str(tmp_path / "exp.sqlite")
@@ -221,13 +223,39 @@ def test_restart_fails_orphaned_local_jobs_only(tmp_path):
         "orphan", "running", {"cells": [], "backend": "local"}
     )
     with background_server(db_path=db, jobs=1) as url:
-        client = ServiceClient(url)
+        yield ServiceClient(url), distributed
+
+
+def test_restart_fails_orphaned_local_jobs_only(tmp_path):
+    """A restart fails the local jobs the dead process left unfinished;
+    a distributed job keeps its leases and finishes on its last ack."""
+    from repro.harness.distributed import run_worker
+
+    with _restarted(tmp_path) as (client, distributed):
         orphan = client.job("orphan")
         assert orphan["status"] == "failed"
         assert "restarted" in orphan["error"]
         assert client.job(distributed["job_id"])["status"] == "running"
-        assert run_worker(url, worker_id="t-w0", max_idle=0) == 1
+        assert run_worker(client.url, worker_id="t-w0", max_idle=0) == 1
         assert client.job(distributed["job_id"])["status"] == "done"
+
+
+def test_follow_on_a_database_only_job_is_an_empty_stream(tmp_path):
+    """A job from before a restart has no event history: following it
+    gives an empty NDJSON 200, and ``wait`` decides on the one status
+    read after it."""
+    with _restarted(tmp_path) as (client, distributed):
+        url = f"{client.url}/api/v1/jobs/orphan/events?follow=1&timeout=60"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            assert resp.status == 200
+            assert resp.headers["Content-Type"] == "application/x-ndjson"
+            assert resp.read() == b""
+        with pytest.raises(ServiceError) as exc:
+            client.wait("orphan", timeout=30)
+        assert "restarted" in str(exc.value)
+        with pytest.raises(ServiceError) as exc:
+            client.wait(distributed["job_id"], timeout=30)
+        assert "still running" in str(exc.value)
 
 
 def test_results_conflict_while_running(service):
@@ -276,61 +304,218 @@ def _follow(service, job_id):
         return [json.loads(line) for line in resp.read().splitlines()]
 
 
+def _hold_jobs(monkeypatch):
+    """Hold each local job's ``run_matrix`` until the returned event is
+    set (10 s at most); tests set it in a ``finally``."""
+    from repro.service import jobs
+
+    release = threading.Event()
+    original = jobs.run_matrix
+
+    def held_run_matrix(*args, **kwargs):
+        release.wait(timeout=10)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "run_matrix", held_run_matrix)
+    return release
+
+
+def _release_on_first_wait(monkeypatch, release):
+    """Set *release* once a follower first blocks on a job, so the job
+    finishes while its stream is open."""
+    from repro.service.jobs import Job
+
+    original = Job.wait_events
+
+    def wait_events(job, since, timeout=0.0):
+        release.set()
+        return original(job, since, timeout)
+
+    monkeypatch.setattr(Job, "wait_events", wait_events)
+
+
+def _expose_split_finish(monkeypatch):
+    """Give every job a lock that, when released with the status terminal
+    but no terminal event, wakes the job's waiters and holds the
+    releasing thread (5 s at most) until a waiter has read the job as
+    terminal.  A finish that flips the status and appends its event in
+    two holds of the lock then ends a follow stream early every time,
+    instead of only when the threads happen to interleave so."""
+    from repro.service.jobs import Job
+
+    read = threading.Event()
+    original_init = Job.__init__
+    original_wait = Job.wait_events
+
+    class ExposingCondition(threading.Condition):
+        def __init__(self, job):
+            super().__init__()
+            self.job = job
+            self.exposed = False
+
+        def __exit__(self, *exc):
+            split = self.job.terminal and not self.exposed and not any(
+                e["event"] in ("done", "failed") for e in self.job.events
+            )
+            if split:
+                self.exposed = True
+                self.notify_all()
+            super().__exit__(*exc)
+            if split:
+                read.wait(timeout=5)
+
+    def init(job, *args, **kwargs):
+        original_init(job, *args, **kwargs)
+        job._lock = ExposingCondition(job)
+
+    def wait_events(job, since, timeout=0.0):
+        events, terminal = original_wait(job, since, timeout)
+        if terminal:
+            read.set()
+        return events, terminal
+
+    monkeypatch.setattr(Job, "__init__", init)
+    monkeypatch.setattr(Job, "wait_events", wait_events)
+
+
 def test_follow_stream_gets_terminal_event_appended_with_status(
     service, monkeypatch
 ):
     """A stream that sees the job terminal must also see its terminal
-    event: no event appended through ``add_event`` after the status flip
-    may be the terminal one.  ``add_event`` is held for terminal events
-    until the stream has ended."""
-    from repro.service.jobs import Job
-
-    streamed = threading.Event()
-    original = Job.add_event
-
-    def gated(job, event, **payload):
-        if event in ("done", "failed"):
-            streamed.wait(timeout=30)
-        original(job, event, **payload)
-
-    monkeypatch.setattr(Job, "add_event", gated)
+    event: ``Job.finish`` flips the status and appends the event in one
+    hold of the job's lock, so ``Job.wait_events`` never reads one
+    without the other."""
+    _expose_split_finish(monkeypatch)
+    release = _hold_jobs(monkeypatch)
+    _release_on_first_wait(monkeypatch, release)
     job = service.submit(workloads=["lammps"], configs=["baseline"],
                          warmup=WARMUP, measure=MEASURE)
     try:
         lines = _follow(service, job["job_id"])
     finally:
-        streamed.set()
-    assert lines[-1]["event"] == "done"
+        release.set()
+    assert [e["event"] for e in lines] == ["queued", "running", "cell", "done"]
 
 
 def test_follow_stream_reads_terminal_before_draining(service, monkeypatch):
-    """The job finishes between a drain and the loop's terminal check;
-    the stream must still end with the terminal event."""
-    from repro.service import jobs
+    """The job finishes after ``wait_events`` read it but before the
+    stream loop looks at the result; the loop must go by the terminal
+    flag read with the events, and so still end with the terminal
+    event."""
     from repro.service.jobs import Job
 
-    stream_open = threading.Event()
-    original_run_matrix = jobs.run_matrix
-    original_events_since = Job.events_since
+    _expose_split_finish(monkeypatch)
+    release = _hold_jobs(monkeypatch)
+    _release_on_first_wait(monkeypatch, release)
+    fresh_read = Job.wait_events
 
-    def held_run_matrix(*args, **kwargs):
-        stream_open.wait(timeout=30)
-        return original_run_matrix(*args, **kwargs)
+    def stale_read(job, since, timeout=0.0):
+        events, terminal = fresh_read(job, since, timeout)
+        if not terminal:
+            with job._lock:
+                job._lock.wait_for(lambda: job.terminal, timeout=10)
+        return events, terminal
 
-    def stale_drain(job, since=0):
-        stream_open.set()
-        events = original_events_since(job, since)
-        deadline = time.monotonic() + 30
-        while not job.terminal and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return events
-
-    monkeypatch.setattr(jobs, "run_matrix", held_run_matrix)
-    monkeypatch.setattr(Job, "events_since", stale_drain)
+    monkeypatch.setattr(Job, "wait_events", stale_read)
     job = service.submit(workloads=["gcc"], configs=["baseline"],
                          warmup=WARMUP, measure=MEASURE)
-    lines = _follow(service, job["job_id"])
+    try:
+        lines = _follow(service, job["job_id"])
+    finally:
+        release.set()
     assert [e["event"] for e in lines] == ["queued", "running", "cell", "done"]
+
+
+def _no_sleep(monkeypatch):
+    """``time.sleep`` raises in the service modules."""
+    from repro.service import app, client, jobs
+
+    class NoSleep:
+        def __getattr__(self, name):
+            return getattr(time, name)
+
+        @staticmethod
+        def sleep(seconds):
+            raise AssertionError(f"slept {seconds}s")
+
+    for module in (app, jobs, client):
+        monkeypatch.setattr(module, "time", NoSleep(), raising=False)
+
+
+def test_follow_and_wait_block_without_sleeping(service, monkeypatch):
+    _no_sleep(monkeypatch)
+    release = _hold_jobs(monkeypatch)
+    first = service.submit(workloads=["lammps"], configs=["acb"],
+                           warmup=WARMUP, measure=MEASURE)
+    second = service.submit(workloads=["gcc"], configs=["acb"],
+                            warmup=WARMUP, measure=MEASURE)
+    timer = threading.Timer(0.3, release.set)
+    timer.start()
+    try:
+        lines = _follow(service, first["job_id"])  # opened while held
+        status = service.wait(second["job_id"], timeout=60)
+    finally:
+        timer.cancel()
+        release.set()
+    assert lines[-1]["event"] == "done"
+    assert status["status"] == "done"
+
+
+def test_wait_passes_every_event_once(service):
+    job = service.submit(workloads=["mcf", "gcc"], configs=["baseline"],
+                         warmup=WARMUP, measure=MEASURE)
+    seen = []
+    status = service.wait(job["job_id"], timeout=300, on_event=seen.append)
+    assert status["status"] == "done"
+    assert [e["seq"] for e in seen] == list(range(1, len(seen) + 1))
+    assert seen[-1]["event"] == "done"
+    assert seen == service.events(job["job_id"])["events"]
+
+
+def test_wait_raises_with_the_failed_jobs_error(service, monkeypatch):
+    from repro.service import jobs
+
+    def broken_run_matrix(*args, **kwargs):
+        raise RuntimeError("engine on fire")
+
+    monkeypatch.setattr(jobs, "run_matrix", broken_run_matrix)
+    job = service.submit(workloads=["lammps"], configs=["baseline"],
+                         warmup=WARMUP, measure=MEASURE)
+    with pytest.raises(ServiceError) as exc:
+        service.wait(job["job_id"], timeout=60)
+    assert "RuntimeError: engine on fire" in str(exc.value)
+    assert service.job(job["job_id"])["error"] == \
+        "RuntimeError: engine on fire"
+
+
+def test_wait_times_out_on_a_held_job(service, monkeypatch):
+    release = _hold_jobs(monkeypatch)
+    job = service.submit(workloads=["lammps"], configs=["dmp"],
+                         warmup=WARMUP, measure=MEASURE)
+    try:
+        with pytest.raises(ServiceError) as exc:
+            service.wait(job["job_id"], timeout=0.5)
+    finally:
+        release.set()
+    assert "still running" in str(exc.value)
+    service.wait(job["job_id"], timeout=300)
+
+
+def test_wait_outlasts_the_request_timeout(service, monkeypatch):
+    """The stream may stay silent longer than one request may take."""
+    release = _hold_jobs(monkeypatch)
+    job = service.submit(workloads=["lammps"], configs=["dhp"],
+                         warmup=WARMUP, measure=MEASURE)
+    timer = threading.Timer(2.0, release.set)
+    timer.start()
+    try:
+        status = ServiceClient(service.url, timeout=0.5).wait(
+            job["job_id"], timeout=60
+        )
+    finally:
+        timer.cancel()
+        release.set()
+    assert status["status"] == "done"
 
 
 def test_route_table_is_complete():

@@ -7,7 +7,8 @@ Run from the root of a full git checkout (CI's ``perf-gate`` job does)::
 
 Checks ``PARENT_REF`` out into a temporary ``git worktree``, then runs
 ``perfbench/run.py`` on the ``sim-cold`` workload in the parent and in
-this checkout, in alternating pairs.  The gate fails when any run reports
+this checkout, in pairs that alternate which side runs first, so
+each side leads in half of them.  The gate fails when any run reports
 ``correct: false`` or ``failed > 0``, or when the median of any
 end-to-end metric in ``BENCHMARK.json`` is worse on this tree than on the
 parent by more than that metric's bound, in its ``better`` direction.
@@ -34,7 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOAD = "sim-cold"
 SEED = 1
 SECONDS = 10
-PAIRS = 3
+PAIRS = 4  # even: each side runs first equally often
 
 
 def verdict(parent: List[dict], change: List[dict],
@@ -120,7 +121,8 @@ def main(argv: List[str]) -> int:
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     try:
         for pair in range(PAIRS):
-            for side, checkout in (("parent", worktree), ("change", ROOT)):
+            sides = (("parent", worktree), ("change", ROOT))
+            for side, checkout in sides[::-1] if pair % 2 else sides:
                 run = run_bench(checkout)
                 runs[side].append(run)
                 print(_summary(f"pair {pair + 1} {side}", run), flush=True)
